@@ -170,7 +170,7 @@ impl SimServeCfg {
 }
 
 /// Build the campaign's oracle: distinct per-/24 tables for the first
-/// [`COVERED_SLASH24`] client blocks, fallback for the rest. Pure
+/// `COVERED_SLASH24` client blocks, fallback for the rest. Pure
 /// function of nothing — the snapshot is fixed so `Exact`/`Fallback`
 /// splits are part of the campaign identity.
 pub fn campaign_oracle() -> Oracle {

@@ -12,7 +12,7 @@
 //!   boundaries, reads that time out, corrupted bytes, mid-stream
 //!   truncation, abrupt closes. It is pure and in-process — the right tool
 //!   for unit tests of codec and client robustness.
-//! * [`ChaosProxy`](proxy::ChaosProxy) is an in-process TCP proxy that
+//! * [`ChaosProxy`] is an in-process TCP proxy that
 //!   sits between a real client and a real server and injects the same
 //!   fault repertoire into live traffic — the right tool for end-to-end
 //!   chaos suites (`tests/chaos.rs`, `beware chaos`).

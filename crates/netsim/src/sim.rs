@@ -3,10 +3,9 @@
 //!
 //! Agents are written callback-style against [`Ctx`]: they send packets,
 //! set timers, and receive deliveries. Since PR 10 the loop schedules
-//! through the shared `runtime::DeadlineWheel` (via
-//! [`EventQueue`](crate::event::EventQueue)) and drives a
-//! [`SimClock`](crate::time::SimClock) forward as it pops — so timers are
-//! genuinely cancellable ([`Ctx::cancel_timer`], retiring the
+//! through the shared `runtime::DeadlineWheel` (via [`EventQueue`]) and
+//! drives a [`SimClock`] forward as it pops — so timers are genuinely
+//! cancellable ([`Ctx::cancel_timer`], retiring the
 //! generation-counter idiom) and any component written against
 //! `beware_runtime::Clock` can observe the simulated timeline through
 //! [`Ctx::clock`]. Execution order stays trivially deterministic:
@@ -281,11 +280,13 @@ mod tests {
 
         fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
             // Sequence number encodes the send second.
-            if let crate::packet::L4::Icmp { kind, .. } = &pkt.l4 {
-                if let beware_wire::icmp::IcmpKind::EchoReply { seq, .. } = kind {
-                    let sent = f64::from(*seq);
-                    self.rtts.push(ctx.now().as_secs_f64() - sent);
-                }
+            if let crate::packet::L4::Icmp {
+                kind: beware_wire::icmp::IcmpKind::EchoReply { seq, .. },
+                ..
+            } = &pkt.l4
+            {
+                let sent = f64::from(*seq);
+                self.rtts.push(ctx.now().as_secs_f64() - sent);
             }
         }
 
@@ -396,7 +397,6 @@ mod tests {
         impl Agent for ClockAgent {
             fn start(&mut self, ctx: &mut Ctx<'_>) {
                 let h = ctx.clock();
-                assert!(h.is_virtual());
                 self.handle = Some(h);
                 ctx.set_timer(ctx.now() + SimDuration::from_millis(1500), 0);
                 ctx.set_timer(ctx.now() + SimDuration::from_secs(4), 1);

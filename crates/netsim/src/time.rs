@@ -15,7 +15,7 @@
 //! u128 nanoseconds — so it is spelled [`TryFrom`], and callers that
 //! genuinely want the old clamping behavior say so with
 //! [`SimDuration::saturating_from`]. [`SimClock`] packages the bridge: a
-//! [`VirtualClock`](beware_runtime::VirtualClock) whose hands are moved by
+//! [`VirtualClock`] whose hands are moved by
 //! the event loop, so agent code and runtime components (wheel deadlines,
 //! reactors, policy estimators) observe one shared timeline.
 
@@ -376,7 +376,6 @@ mod tests {
         clock.advance_to(SimTime::from_ns(2_500));
         assert_eq!(clock.now(), SimTime::from_ns(2_500));
         assert_eq!(handle.now(), Duration::from_nanos(2_500), "handle sees the same timeline");
-        assert!(handle.is_virtual());
         // Replaying an older timestamp must not rewind.
         clock.advance_to(SimTime::from_ns(100));
         assert_eq!(clock.now(), SimTime::from_ns(2_500));

@@ -525,7 +525,7 @@ fn quote(probe: &Packet) -> Vec<u8> {
 }
 
 /// Recover the original destination address from an ICMP error quotation
-/// produced by [`quote`] (or any RFC 792-conforming stack).
+/// produced by `quote` (or any RFC 792-conforming stack).
 pub fn quoted_destination(quoted: &[u8]) -> Option<u32> {
     if quoted.len() < beware_wire::ipv4::HEADER_LEN {
         return None;

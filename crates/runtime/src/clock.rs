@@ -41,14 +41,6 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
     fn since(&self, earlier: Duration) -> Duration {
         self.now().saturating_sub(earlier)
     }
-
-    /// Whether this timeline is simulated. A virtual timeline only moves
-    /// when someone sleeps *on it*, so code that would otherwise park the
-    /// OS thread (an `epoll_wait`, say) must poll-and-nap on the clock
-    /// instead — see [`reactor::make_reactor`](crate::reactor::make_reactor).
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// Real time: [`Clock::now`] is `Instant` elapsed since construction,
@@ -154,10 +146,6 @@ impl Clock for VirtualClock {
         // Let any thread this sleep was politely waiting on actually run;
         // virtual sleeps must not turn poll loops into pure spin.
         std::thread::yield_now();
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 

@@ -28,9 +28,8 @@
 //!   their ad-hoc `last_active` / inline-sleep deadline math.
 //! * [`reactor`] — readiness-driven I/O: a minimal epoll reactor (with
 //!   its own `extern "C"` glibc bindings — the build is hermetic, so no
-//!   `mio`/`libc`) plus a clock-paced polling fallback behind one
-//!   [`Reactor`] trait, so the serve path blocks on *I/O or the next
-//!   wheel deadline* instead of napping on a fixed interval.
+//!   `mio`/`libc`), so the serve path blocks on *I/O or the next wheel
+//!   deadline* instead of napping on a fixed interval.
 //! * [`Slot`] — the epoch-swapped publication slot behind zero-downtime
 //!   state swaps: writers publish an immutable `Arc`, per-shard
 //!   [`SlotReader`]s see it with a single acquire load. The serve path
@@ -60,10 +59,7 @@ pub mod wheel;
 pub use clock::{process_cpu_time, Clock, SharedClock, VirtualClock, WallClock};
 #[cfg(target_os = "linux")]
 pub use reactor::EpollReactor;
-pub use reactor::{
-    make_reactor, round_wait_up_to_ms, Event, Interest, PollReactor, Reactor, ReactorKind,
-    StopSignal, Waker,
-};
+pub use reactor::{round_wait_up_to_ms, Event, Interest, StopSignal, Waker};
 pub use rng::{derive_seed, unit_hash, SplitMix64};
 pub use swap::{Slot, SlotReader};
 pub use wheel::DeadlineWheel;

@@ -1,36 +1,21 @@
-//! Readiness-driven I/O: a minimal epoll reactor with a clock-paced
-//! polling fallback.
+//! Readiness-driven I/O: a minimal epoll reactor.
 //!
 //! The serve path used to spin-poll every nonblocking connection under a
 //! read budget with fixed 2 ms naps — fine at hundreds of connections,
-//! ruinous at 100k+ where an idle connection must cost ~zero CPU. A
-//! [`Reactor`] inverts that: the caller registers file descriptors with
-//! an [`Interest`] and then **blocks** in [`Reactor::wait`] until the
-//! kernel reports readiness, another thread rings a [`Waker`], or a
-//! caller-supplied timeout (derived from a
+//! ruinous at 100k+ where an idle connection must cost ~zero CPU. An
+//! [`EpollReactor`] inverts that: the caller registers file descriptors
+//! with an [`Interest`] and then **blocks** in [`EpollReactor::wait`]
+//! until the kernel reports readiness, another thread rings a [`Waker`],
+//! or a caller-supplied timeout (derived from a
 //! [`DeadlineWheel`](crate::DeadlineWheel) next-deadline) elapses.
 //!
-//! Two implementations, one contract:
-//!
-//! * [`EpollReactor`] (Linux) — real readiness from `epoll_wait`, with
-//!   eventfd doorbells for cross-thread wakeups. The handful of glibc
-//!   symbols it needs are declared in the crate's one unsafe module
-//!   (`sys`); everything here is safe code.
-//! * [`PollReactor`] — the retired budgeted poll loop, packaged behind
-//!   the same trait: `wait` naps one bounded step on the injected
-//!   [`Clock`](crate::Clock) and then reports every registration as
-//!   ready ("assume-ready"). Under a
-//!   [`VirtualClock`](crate::VirtualClock) those naps *advance simulated
-//!   time*, which is exactly what the virtual-time suites need — an
-//!   epoll reactor would park the OS thread on a timeline that never
-//!   moves on its own.
-//!
-//! [`make_reactor`] picks between them: an explicit [`ReactorKind`], or
-//! `Auto` — epoll for real time, the polling fallback whenever the clock
-//! is virtual (see [`Clock::is_virtual`](crate::Clock::is_virtual)) or
-//! epoll is unavailable.
+//! Readiness comes from `epoll_wait`, with eventfd doorbells for
+//! cross-thread wakeups. The handful of glibc symbols it needs are
+//! declared in the crate's one unsafe module (`sys`); everything here is
+//! safe code. Code that must run on virtual time keeps its deadlines in
+//! a sans-io state machine the test steps directly, not behind a
+//! reactor.
 
-use crate::clock::SharedClock;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,9 +48,7 @@ impl Interest {
     }
 
     /// Edge-triggered variant: report a readiness *transition* once
-    /// instead of re-reporting while the condition holds. The epoll
-    /// reactor maps this to `EPOLLET`; the polling fallback has no
-    /// readiness signal to edge on and ignores it.
+    /// instead of re-reporting while the condition holds (`EPOLLET`).
     pub fn edge(self) -> Interest {
         Interest(self.0 | Interest::EDGE)
     }
@@ -86,7 +69,7 @@ impl Interest {
     }
 }
 
-/// One readiness report from [`Reactor::wait`].
+/// One readiness report from [`EpollReactor::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token the fd (or waker) was registered with.
@@ -100,11 +83,10 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A cross-thread doorbell that interrupts [`Reactor::wait`].
+/// A cross-thread doorbell that interrupts [`EpollReactor::wait`].
 ///
-/// On Linux the waker owns an eventfd the epoll reactor registers like
-/// any other fd; everywhere (and for the polling fallback) it also keeps
-/// an atomic flag, so a wake is never lost even when no reactor is
+/// The waker owns an eventfd the epoll reactor registers like any other
+/// fd, plus an atomic flag that records a wake even when no reactor is
 /// watching the fd. Waking is idempotent and cheap; the flag (and
 /// eventfd counter) reset when the wake is delivered.
 #[derive(Debug)]
@@ -124,7 +106,7 @@ impl Waker {
         })
     }
 
-    /// Ring: any in-flight or future [`Reactor::wait`] watching this
+    /// Ring: any in-flight or future [`EpollReactor::wait`] watching this
     /// waker returns (with the waker's token among the events).
     pub fn wake(&self) {
         self.flag.store(true, Ordering::SeqCst);
@@ -152,7 +134,7 @@ impl Drop for Waker {
 
 /// A stop flag fused to a set of wakers: one `request_stop` both raises
 /// the flag and rings every subscribed doorbell, so threads blocked in
-/// [`Reactor::wait`] observe the stop promptly instead of at their next
+/// [`EpollReactor::wait`] observe the stop promptly instead of at their next
 /// timeout. This is how `ServerHandle::shutdown` (or a `Shutdown` frame
 /// handled on one shard) reaches every other shard and the acceptor.
 #[derive(Debug, Default)]
@@ -190,34 +172,6 @@ impl StopSignal {
     }
 }
 
-/// A readiness source: register fds by token, block in [`wait`] until
-/// something is ready, a [`Waker`] rings, or the timeout passes.
-///
-/// The timeout contract is the wheel⇄reactor seam (DESIGN.md §11): the
-/// caller derives `timeout` as `DeadlineWheel::next_deadline()` minus
-/// `clock.now()`, so a shard sleeps **exactly** until either I/O or
-/// the next deadline it owns — never on a fixed nap.
-///
-/// [`wait`]: Reactor::wait
-pub trait Reactor: Send + std::fmt::Debug {
-    /// Start watching `fd` under `token` with `interest`.
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Change an existing registration's token/interest.
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Stop watching `fd`. Pending events for it are dropped.
-    fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
-    /// Watch a [`Waker`] under `token`; its wakes surface as events.
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()>;
-
-    /// Block until readiness, a wake, or `timeout` (`None` = forever).
-    /// `events` is cleared and refilled; an empty result means the
-    /// timeout (or a signal) ended the wait.
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()>;
-}
-
 /// Round a wheel-derived wait gap **up** to whole milliseconds — the
 /// wheel⇄reactor conversion of DESIGN.md §11.
 ///
@@ -229,67 +183,24 @@ pub trait Reactor: Send + std::fmt::Debug {
 /// millisecond *after* the deadline — harmless, the wheel pop is
 /// idempotent on "due now or earlier" — and never before it. Callers
 /// converting `DeadlineWheel::next_deadline() - clock.now()` into a
-/// [`Reactor::wait`] timeout must route through this; a zero gap stays
+/// [`EpollReactor::wait`] timeout must route through this; a zero gap stays
 /// zero (the deadline is already due, an immediate return makes
 /// progress).
 pub fn round_wait_up_to_ms(gap: Duration) -> Duration {
     Duration::from_millis(u64::try_from(gap.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX))
 }
 
-/// Which reactor [`make_reactor`] builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorKind {
-    /// Epoll for wall clocks on Linux; the polling fallback for virtual
-    /// clocks or platforms without epoll.
-    #[default]
-    Auto,
-    /// Force epoll (errors off-Linux).
-    Epoll,
-    /// Force the clock-paced polling fallback.
-    Poll,
-}
-
-/// Build a reactor of `kind` for code paced by `clock`.
-pub fn make_reactor(kind: ReactorKind, clock: &SharedClock) -> io::Result<Box<dyn Reactor>> {
-    match kind {
-        ReactorKind::Poll => Ok(Box::new(PollReactor::new(Arc::clone(clock)))),
-        ReactorKind::Epoll => {
-            #[cfg(target_os = "linux")]
-            {
-                Ok(Box::new(EpollReactor::new()?))
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Err(io::Error::new(io::ErrorKind::Unsupported, "epoll requires Linux"))
-            }
-        }
-        ReactorKind::Auto => {
-            // A virtual timeline only moves when someone sleeps on the
-            // injected clock — parking the OS thread in epoll_wait would
-            // deadlock simulated time, so Auto refuses to.
-            if clock.is_virtual() {
-                return Ok(Box::new(PollReactor::new(Arc::clone(clock))));
-            }
-            #[cfg(target_os = "linux")]
-            {
-                match EpollReactor::new() {
-                    Ok(r) => Ok(Box::new(r)),
-                    Err(_) => Ok(Box::new(PollReactor::new(Arc::clone(clock)))),
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Ok(Box::new(PollReactor::new(Arc::clone(clock))))
-            }
-        }
-    }
-}
-
 /// Real readiness from `epoll` (Linux only; see the crate's `sys`
 /// module for the FFI surface and DESIGN.md §11 for the unsafe policy).
 /// Level-triggered by default — unconsumed input re-reports on the next
-/// [`wait`](Reactor::wait), which is what makes per-connection read
+/// [`wait`](EpollReactor::wait), which is what makes per-connection read
 /// budgets safe — with [`Interest::edge`] opting in to `EPOLLET`.
+///
+/// The timeout contract is the wheel⇄reactor seam (DESIGN.md §11): the
+/// caller derives `wait`'s timeout as the next deadline it owns minus
+/// `clock.now()`, rounded up by [`round_wait_up_to_ms`], so a shard
+/// sleeps **exactly** until either I/O or that deadline — never on a
+/// fixed nap.
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 pub struct EpollReactor {
@@ -309,49 +220,33 @@ impl EpollReactor {
         })
     }
 
-    fn mask(interest: Interest) -> u32 {
-        let mut m = 0u32;
-        if interest.is_readable() {
-            m |= sys::EPOLLIN | sys::EPOLLRDHUP;
-        }
-        if interest.is_writable() {
-            m |= sys::EPOLLOUT;
-        }
-        if interest.is_edge() {
-            m |= sys::EPOLLET;
-        }
-        m
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for EpollReactor {
-    fn drop(&mut self) {
-        sys::sys_close(self.epfd);
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Reactor for EpollReactor {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Start watching `fd` under `token` with `interest`.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, Self::mask(interest), token)
     }
 
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Change an existing registration's token/interest.
+    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, Self::mask(interest), token)
     }
 
-    fn deregister(&mut self, fd: RawFd, _token: u64) -> io::Result<()> {
+    /// Stop watching `fd`. Pending events for it are dropped. (Closing
+    /// the fd has the same effect.)
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
+    /// Watch a [`Waker`] under `token`; its wakes surface as events.
+    pub fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, waker.efd, sys::EPOLLIN, token)?;
         self.wakers.push((token, waker));
         Ok(())
     }
 
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
+    /// Block until readiness, a wake, or `timeout` (`None` = forever).
+    /// `events` is cleared and refilled; an empty result means the
+    /// timeout (or a signal) ended the wait.
+    pub fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
         events.clear();
         // Round *up* to whole milliseconds so we never wake before the
         // caller's deadline and spin on a not-yet-due wheel.
@@ -377,118 +272,32 @@ impl Reactor for EpollReactor {
         }
         Ok(())
     }
-}
 
-/// The retired budgeted poll loop behind the [`Reactor`] trait: naps one
-/// bounded step on the injected clock, then reports **every**
-/// registration as ready in registration order ("assume-ready" — the
-/// caller's nonblocking reads/writes discover the truth, exactly as the
-/// old spin loop did). Deterministic-time-compatible: under a
-/// [`VirtualClock`](crate::VirtualClock) the naps advance the simulated
-/// timeline, so wheel deadlines measured on it still fire.
-#[derive(Debug)]
-pub struct PollReactor {
-    clock: SharedClock,
-    step: Duration,
-    registered: Vec<(RawFd, u64, Interest)>,
-    wakers: Vec<(u64, Arc<Waker>)>,
-}
-
-impl PollReactor {
-    /// Default pacing step between poll rounds (the old shard loop's
-    /// no-progress nap).
-    pub const DEFAULT_STEP: Duration = Duration::from_micros(500);
-
-    /// A polling reactor paced on `clock` with the default step.
-    pub fn new(clock: SharedClock) -> PollReactor {
-        PollReactor::with_step(clock, PollReactor::DEFAULT_STEP)
-    }
-
-    /// A polling reactor with an explicit pacing step.
-    pub fn with_step(clock: SharedClock, step: Duration) -> PollReactor {
-        PollReactor { clock, step, registered: Vec::new(), wakers: Vec::new() }
-    }
-
-    /// Collect pending wakes into `events`; true if any fired.
-    fn take_wakes(&self, events: &mut Vec<Event>) -> bool {
-        let mut any = false;
-        for (token, w) in &self.wakers {
-            if w.take() {
-                events.push(Event {
-                    token: *token,
-                    readable: false,
-                    writable: false,
-                    hangup: false,
-                });
-                any = true;
-            }
+    fn mask(interest: Interest) -> u32 {
+        let mut m = 0u32;
+        if interest.is_readable() {
+            m |= sys::EPOLLIN | sys::EPOLLRDHUP;
         }
-        any
+        if interest.is_writable() {
+            m |= sys::EPOLLOUT;
+        }
+        if interest.is_edge() {
+            m |= sys::EPOLLET;
+        }
+        m
     }
 }
 
-impl Reactor for PollReactor {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        if self.registered.iter().any(|&(f, _, _)| f == fd) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        self.registered.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self.registered.iter_mut().find(|(f, _, _)| *f == fd) {
-            Some(slot) => {
-                *slot = (fd, token, interest);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn deregister(&mut self, fd: RawFd, _token: u64) -> io::Result<()> {
-        let before = self.registered.len();
-        self.registered.retain(|&(f, _, _)| f != fd);
-        if self.registered.len() == before {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
-        Ok(())
-    }
-
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
-        self.wakers.push((token, waker));
-        Ok(())
-    }
-
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
-        events.clear();
-        // A pending wake short-circuits the nap entirely.
-        if self.take_wakes(events) {
-            return Ok(());
-        }
-        let nap = timeout.map_or(self.step, |t| t.min(self.step));
-        if !nap.is_zero() {
-            self.clock.sleep(nap);
-        }
-        self.take_wakes(events);
-        for &(_, token, interest) in &self.registered {
-            if interest.is_readable() || interest.is_writable() {
-                events.push(Event {
-                    token,
-                    readable: interest.is_readable(),
-                    writable: interest.is_writable(),
-                    hangup: false,
-                });
-            }
-        }
-        Ok(())
+#[cfg(target_os = "linux")]
+impl Drop for EpollReactor {
+    fn drop(&mut self) {
+        sys::sys_close(self.epfd);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, VirtualClock, WallClock};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
@@ -600,7 +409,7 @@ mod tests {
             r.wait(Some(Duration::from_secs(2)), &mut events).unwrap();
             assert_eq!(events_for(&events, 3).len(), 1);
 
-            r.deregister(reader.as_raw_fd(), 3).unwrap();
+            r.deregister(reader.as_raw_fd()).unwrap();
             r.wait(Some(Duration::from_millis(50)), &mut events).unwrap();
             assert!(events.is_empty(), "deregistered fd still reported: {events:?}");
         }
@@ -664,46 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_fallback_reports_registrations_and_paces_on_the_clock() {
-        let vc = VirtualClock::new();
-        let mut r = PollReactor::with_step(vc.handle(), Duration::from_millis(10));
-        r.register(0, 11, Interest::READABLE).unwrap();
-        r.register(1, 12, Interest::BOTH).unwrap();
-        r.register(2, 13, Interest::NONE).unwrap();
-
-        let mut events = Vec::new();
-        r.wait(Some(Duration::from_secs(60)), &mut events).unwrap();
-        assert_eq!(vc.now(), Duration::from_millis(10), "one pacing step of virtual time");
-        assert_eq!(events.len(), 2, "NONE interest stays silent: {events:?}");
-        assert!(events_for(&events, 11)[0].readable);
-        let both = events_for(&events, 12)[0];
-        assert!(both.readable && both.writable);
-
-        // Timeouts below the step clamp the nap: a wheel deadline 2 ms
-        // out must not be overslept by 10 ms.
-        r.wait(Some(Duration::from_millis(2)), &mut events).unwrap();
-        assert_eq!(vc.now(), Duration::from_millis(12));
-
-        r.deregister(1, 12).unwrap();
-        r.wait(Some(Duration::from_millis(10)), &mut events).unwrap();
-        assert!(events_for(&events, 12).is_empty(), "deregistered fd still reported");
-    }
-
-    #[test]
-    fn poll_fallback_wake_short_circuits_the_nap() {
-        let vc = VirtualClock::new();
-        let mut r = PollReactor::with_step(vc.handle(), Duration::from_millis(10));
-        let waker = Arc::new(Waker::new().unwrap());
-        r.add_waker(Arc::clone(&waker), 99).unwrap();
-        waker.wake();
-        let mut events = Vec::new();
-        r.wait(Some(Duration::from_secs(60)), &mut events).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 99);
-        assert_eq!(vc.now(), Duration::ZERO, "a pending wake must skip the nap");
-    }
-
-    #[test]
     fn stop_signal_raises_flag_and_rings_every_subscriber() {
         let stop = StopSignal::new();
         let a = Arc::new(Waker::new().unwrap());
@@ -721,22 +490,5 @@ mod tests {
         let c = Arc::new(Waker::new().unwrap());
         stop.subscribe(Arc::clone(&c));
         assert!(c.take());
-    }
-
-    #[test]
-    fn auto_kind_respects_virtual_clocks() {
-        let wall = WallClock::shared();
-        let virt = VirtualClock::new().handle();
-        let for_wall = make_reactor(ReactorKind::Auto, &wall).unwrap();
-        let for_virt = make_reactor(ReactorKind::Auto, &virt).unwrap();
-        let name = |r: &Box<dyn Reactor>| format!("{r:?}");
-        #[cfg(target_os = "linux")]
-        assert!(name(&for_wall).starts_with("EpollReactor"), "{for_wall:?}");
-        #[cfg(not(target_os = "linux"))]
-        assert!(name(&for_wall).starts_with("PollReactor"), "{for_wall:?}");
-        assert!(
-            name(&for_virt).starts_with("PollReactor"),
-            "virtual time must never park in epoll: {for_virt:?}"
-        );
     }
 }

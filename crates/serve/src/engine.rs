@@ -4,8 +4,9 @@
 //! [`server`](crate::server) used to fuse three concerns in one loop:
 //! readiness plumbing (reactor registration, interest flips, the idle
 //! wheel), per-connection byte shuffling, and the request/reply protocol.
-//! Only the first is socket-specific. This module owns the other two
-//! behind a seam of three types:
+//! Only the first is socket-specific, and its clock-driven half (the
+//! wheel, the drain bound, reaping) lives in [`crate::shard`]. This
+//! module owns the other two behind a seam of three types:
 //!
 //! * [`Transport`] — the five lines of I/O a connection actually needs:
 //!   nonblocking read and write. [`std::net::TcpStream`] implements it
@@ -457,10 +458,6 @@ impl EngineCore {
         &self.stop
     }
 
-    pub(crate) fn reload_source(&self) -> Option<&PathBuf> {
-        self.reload.source.as_ref()
-    }
-
     /// One shard's engine over this shared plane. `clock` stamps request
     /// service time; `out_queue_cap` bounds each connection's unsent
     /// reply bytes.
@@ -506,6 +503,18 @@ impl Engine {
     /// The serving snapshot version (refreshing the reader's view).
     pub fn snapshot_version(&mut self) -> u64 {
         self.reader.version()
+    }
+
+    /// The clock this engine stamps requests with; its shard's deadlines
+    /// run on the same one.
+    pub(crate) fn clock(&self) -> &SharedClock {
+        &self.clock
+    }
+
+    /// Whether a `Shutdown` frame (or the server handle) asked the server
+    /// to stop.
+    pub(crate) fn stop_requested(&self) -> bool {
+        self.stop.is_stopped()
     }
 
     /// One wheel-scheduled poll of the reload source. A read failure is
@@ -576,7 +585,7 @@ impl Engine {
     }
 
     /// Pump one connection: read what is available (bounded by
-    /// [`READ_BUDGET`]), decode, and queue a reply for every complete
+    /// `READ_BUDGET`), decode, and queue a reply for every complete
     /// frame. Returns true when any byte moved.
     pub fn service<T: Transport>(&mut self, conn: &mut Conn<T>, reg: &mut Registry) -> bool {
         let mut progress = false;

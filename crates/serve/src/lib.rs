@@ -35,6 +35,7 @@ pub mod loadgen;
 pub mod oracle;
 pub mod proto;
 pub mod server;
+pub mod shard;
 pub mod swap;
 
 pub use builder::{build_snapshot, SnapshotCfg};
@@ -46,4 +47,5 @@ pub use loadgen::{LoadCfg, LoadReport, ReloadCfg, ReloadReport};
 pub use oracle::{Lookup, LookupError, Oracle, OracleError};
 pub use proto::{ErrorCode, Message, ProtoError, ReloadKind, Status, PROTO_VERSION};
 pub use server::{start, ConfigError, ServerCfg, ServerCfgBuilder, ServerHandle};
+pub use shard::{Shard, Tick};
 pub use swap::{OracleHandle, OracleReader};

@@ -2,32 +2,32 @@
 //! server.
 //!
 //! One acceptor thread distributes connections round-robin to `shards`
-//! worker threads. Each shard owns its connections outright — a
-//! [`Reactor`] (epoll on Linux, clock-paced polling under a virtual
-//! clock), per-connection reassembly buffers, a per-shard answer cache,
-//! and a per-shard [`Registry`] — so the hot path takes no locks and
-//! shares no mutable state beyond three global stats counters. Shard
-//! registries are merged **in fixed shard order** when the server stops,
-//! so the deterministic metric families are byte-identical no matter how
-//! connections were scheduled (the scheduling-dependent counters —
-//! cache hits, idle closures, wakeup counts, per-shard assignment —
-//! live under the `sched/` family, which the JSON export excludes; see
-//! DESIGN.md §8).
+//! worker threads. Each shard owns its connections outright — an
+//! [`EpollReactor`], a [`Shard`] holding the connections and their
+//! deadlines, a per-shard answer cache and a per-shard [`Registry`] — so
+//! the hot path takes no locks and shares no mutable state beyond three
+//! global stats counters. Shard registries are merged **in fixed shard
+//! order** when the server stops, so the deterministic metric families
+//! are byte-identical no matter how connections were scheduled (the
+//! scheduling-dependent counters — cache hits, idle closures, wakeup
+//! counts, per-shard assignment — live under the `sched/` family, which
+//! the JSON export excludes; see DESIGN.md §8).
 //!
-//! The protocol state machine itself lives in [`crate::engine`], behind
-//! the [`Transport`](crate::engine::Transport) seam: this module is only
-//! the *socket* incarnation — listener, acceptor, reactor registration,
-//! interest flips, the idle wheel. `beware simserve` runs the same
-//! [`Engine`] over in-memory channels inside netsim.
+//! The protocol state machine lives in [`crate::engine`], behind the
+//! [`Transport`](crate::engine::Transport) seam, and every deadline a
+//! shard owes lives in the sans-io [`Shard`]. This module is only the
+//! *socket* driver — listener, acceptor, reactor registration, interest
+//! flips. `beware simserve` runs the same [`Engine`](crate::engine::Engine)
+//! over in-memory channels inside netsim.
 //!
-//! **Nobody spins.** A shard blocks in [`Reactor::wait`] with a timeout
-//! derived from its [`DeadlineWheel`] next deadline (idle eviction, the
-//! shutdown drain bound), so an idle connection costs ~zero CPU: the
-//! shard wakes on I/O readiness, on an eventfd ring from the acceptor
-//! (new connection) or a [`StopSignal`] (shutdown), or when a deadline
-//! it owns comes due — never on a fixed nap (DESIGN.md §11). Interest
-//! flips between readable and writable as a connection's output queue
-//! fills and drains.
+//! **Nobody spins.** A shard blocks in [`EpollReactor::wait`] with a
+//! timeout derived from the deadline [`Shard::tick`] returns (idle
+//! eviction, the reload poll, the shutdown drain bound), so an idle
+//! connection costs ~zero CPU: the shard wakes on I/O readiness, on an
+//! eventfd ring from the acceptor (new connection) or a [`StopSignal`]
+//! (shutdown), or when a deadline it owns comes due — never on a fixed
+//! nap (DESIGN.md §11). Interest flips between readable and writable as
+//! a connection's output queue fills and drains.
 //!
 //! No peer can make a shard wait (DESIGN.md §9). Replies go through a
 //! **bounded per-connection output queue** drained on writability with
@@ -41,18 +41,16 @@
 //! ourselves. Faults handled on the way (write backpressure, queue
 //! overflows) are counted under the nondeterministic `faults/` family.
 
-use crate::engine::{Conn, Engine, EngineCore, OUT_QUEUE_CAP};
+use crate::engine::{EngineCore, OUT_QUEUE_CAP};
 use crate::proto;
+use crate::shard::{Shard, Tick};
 use crate::swap::OracleHandle;
 use beware_policy::PolicyKind;
 use beware_runtime::clock::{SharedClock, WallClock};
-pub use beware_runtime::reactor::ReactorKind;
 use beware_runtime::reactor::{
-    make_reactor, round_wait_up_to_ms, Event, Interest, Reactor, StopSignal, Waker,
+    round_wait_up_to_ms, EpollReactor, Event, Interest, StopSignal, Waker,
 };
-use beware_runtime::wheel::DeadlineWheel;
 use beware_telemetry::Registry;
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -86,16 +84,6 @@ pub struct ServerCfg {
     pub out_queue_cap: usize,
     /// Whether telemetry is recorded.
     pub metrics: bool,
-    /// Time source for every deadline and stamp in the server. Wall
-    /// time by default; a [`VirtualClock`](beware_runtime::VirtualClock)
-    /// handle makes hour-scale idle timeouts testable in milliseconds.
-    pub clock: SharedClock,
-    /// Readiness source for every shard and the acceptor.
-    /// [`ReactorKind::Auto`] (the default) picks epoll for wall clocks
-    /// and the clock-paced polling fallback for virtual ones — epoll
-    /// would park the OS thread on a timeline that never moves on its
-    /// own.
-    pub reactor: ReactorKind,
     /// Snapshot source for hot reloads: the file `Reload` admin frames
     /// (and the poller, if enabled) load from — a full `.bwts` snapshot
     /// or a `.bwtd` delta. `None` disables the reload plane; `Reload`
@@ -124,8 +112,6 @@ impl Default for ServerCfg {
             drain_timeout: Duration::from_millis(500),
             out_queue_cap: OUT_QUEUE_CAP,
             metrics: true,
-            clock: WallClock::shared(),
-            reactor: ReactorKind::Auto,
             reload_from: None,
             reload_poll: None,
             policy: None,
@@ -185,18 +171,6 @@ impl ServerCfgBuilder {
     /// See [`ServerCfg::metrics`].
     pub fn metrics(mut self, on: bool) -> Self {
         self.cfg.metrics = on;
-        self
-    }
-
-    /// See [`ServerCfg::clock`].
-    pub fn clock(mut self, clock: SharedClock) -> Self {
-        self.cfg.clock = clock;
-        self
-    }
-
-    /// See [`ServerCfg::reactor`].
-    pub fn reactor(mut self, kind: ReactorKind) -> Self {
-        self.cfg.reactor = kind;
         self
     }
 
@@ -316,7 +290,7 @@ impl ServerHandle {
     /// Request shutdown from in-process (equivalent to a `Shutdown`
     /// frame): raises the stop flag and rings every shard's and the
     /// acceptor's wakeup doorbell, so threads blocked in
-    /// [`Reactor::wait`] notice immediately.
+    /// [`EpollReactor::wait`] notice immediately.
     pub fn shutdown(&self) {
         self.stop.request_stop();
     }
@@ -365,40 +339,34 @@ pub fn start(
     let core =
         Arc::new(EngineCore::new(oracle, Arc::clone(&stop), cfg.policy, cfg.reload_from.clone()));
     let handle = core.oracle().clone();
+    let clock = WallClock::shared();
 
     // Reactors and doorbells are created here, not in the threads, so a
-    // resource failure (fd limit, unsupported platform) surfaces as an
-    // `Err` from `start` instead of a dead shard.
+    // resource failure (fd limit) surfaces as an `Err` from `start`
+    // instead of a dead shard.
     let mut senders: Vec<(Sender<TcpStream>, Arc<Waker>)> = Vec::with_capacity(shards);
     let mut shard_handles = Vec::with_capacity(shards);
     for shard_index in 0..shards {
         let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
         let waker = Arc::new(Waker::new()?);
-        let mut reactor = make_reactor(cfg.reactor, &cfg.clock)?;
+        let mut reactor = EpollReactor::new()?;
         reactor.add_waker(Arc::clone(&waker), WAKER_TOKEN)?;
         stop.subscribe(Arc::clone(&waker));
         senders.push((tx, waker));
-        let engine = core.engine(Arc::clone(&cfg.clock), cfg.out_queue_cap);
-        // One reload poller per server, riding shard 0's wheel; every
-        // shard can still execute an admin `Reload`.
-        let schedule_poll =
-            shard_index == 0 && core.reload_source().is_some() && cfg.reload_poll.is_some();
-        let stop = Arc::clone(&stop);
-        let cfg = cfg.clone();
-        shard_handles.push(std::thread::spawn(move || {
-            shard_loop(rx, reactor, engine, schedule_poll, stop, &cfg)
-        }));
+        let engine = core.engine(Arc::clone(&clock), cfg.out_queue_cap);
+        let shard = Shard::new(engine, &cfg, shard_index);
+        let clock = Arc::clone(&clock);
+        shard_handles.push(std::thread::spawn(move || shard_loop(rx, reactor, shard, clock)));
     }
 
     let acceptor_waker = Arc::new(Waker::new()?);
-    let mut acceptor_reactor = make_reactor(cfg.reactor, &cfg.clock)?;
+    let mut acceptor_reactor = EpollReactor::new()?;
     acceptor_reactor.add_waker(Arc::clone(&acceptor_waker), WAKER_TOKEN)?;
     acceptor_reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     stop.subscribe(acceptor_waker);
 
     let stop_a = Arc::clone(&stop);
     let metrics = cfg.metrics;
-    let clock = Arc::clone(&cfg.clock);
     let acceptor = std::thread::spawn(move || {
         acceptor_loop(listener, acceptor_reactor, senders, stop_a, metrics, clock)
     });
@@ -414,7 +382,7 @@ pub fn start(
 /// into a hot loop (`EMFILE` reports the listener readable forever).
 fn acceptor_loop(
     listener: TcpListener,
-    mut reactor: Box<dyn Reactor>,
+    mut reactor: EpollReactor,
     senders: Vec<(Sender<TcpStream>, Arc<Waker>)>,
     stop: Arc<StopSignal>,
     metrics: bool,
@@ -470,143 +438,40 @@ fn acceptor_loop(
     reg
 }
 
-/// Re-register a connection when its desired interest changed. A failed
-/// re-registration is unrecoverable for the connection (the reactor has
-/// lost track of it), so it is closed and counted.
-fn sync_interest(
-    reactor: &mut Box<dyn Reactor>,
-    conn: &mut Conn<TcpStream>,
-    draining: bool,
-    reg: &mut Registry,
-) {
-    let want = conn.desired_interest(draining);
-    if want == conn.interest || !conn.open {
-        return;
-    }
-    match reactor.reregister(conn.transport().as_raw_fd(), conn.id, want) {
-        Ok(()) => conn.interest = want,
-        Err(_) => {
-            reg.scope("faults").scope("serve").incr("reactor_lost");
-            conn.open = false;
-        }
-    }
-}
-
-/// Deadline-wheel key reserved for shard 0's reload poll. Connection
-/// ids count up from zero and can never reach it.
-const RELOAD_WHEEL_KEY: u64 = u64::MAX;
-
+/// One shard's thread: the epoll driver of its sans-io [`Shard`]. Adopt
+/// what the acceptor handed over, let the shard fire its deadlines, then
+/// sleep until I/O, a doorbell, or the next deadline the shard owns. No
+/// deadline and no I/O means a blocking wait: an idle shard costs
+/// nothing.
 fn shard_loop(
     rx: Receiver<TcpStream>,
-    mut reactor: Box<dyn Reactor>,
-    mut engine: Engine,
-    schedule_poll: bool,
-    stop: Arc<StopSignal>,
-    cfg: &ServerCfg,
+    mut reactor: EpollReactor,
+    mut shard: Shard<TcpStream>,
+    clock: SharedClock,
 ) -> Registry {
-    let clock = Arc::clone(&cfg.clock);
-    let mut reg = if cfg.metrics { Registry::new() } else { Registry::disabled() };
-    let mut conns: HashMap<u64, Conn<TcpStream>> = HashMap::new();
-    // The gauge exists on every shard so the merged export is identical
-    // whichever shard (if any) ends up handling a reload.
-    reg.scope("oracle").gauge_max("snapshot_version", engine.snapshot_version());
-    // Every idle deadline on this shard lives in one wheel, keyed by
-    // connection id: scheduled on adoption, pushed out on read activity,
-    // popped (→ eviction) when simulated-or-real time passes it. Its
-    // next deadline is also the shard's wait timeout — the wheel⇄reactor
-    // contract (DESIGN.md §11).
-    let mut wheel: DeadlineWheel<u64> = DeadlineWheel::new();
-    // The reload poll rides the same wheel on shard 0 only.
-    if schedule_poll {
-        if let Some(period) = cfg.reload_poll {
-            wheel.schedule(RELOAD_WHEEL_KEY, clock.now() + period);
-        }
-    }
-    let mut next_conn_id = 0u64;
-    // Set when the stop signal is first observed: replies already queued
-    // (the ShutdownAck above all) still get a bounded chance to drain.
-    let mut drain_deadline: Option<Duration> = None;
     let mut events: Vec<Event> = Vec::new();
-
     loop {
         // Adopt newly assigned connections (the acceptor rang our
         // doorbell — or we were between waits anyway).
         while let Ok(stream) = rx.try_recv() {
-            reg.scope("sched").scope("serve").incr("connections_assigned");
-            let id = next_conn_id;
-            next_conn_id += 1;
-            let conn = Conn::new(id, stream);
-            match reactor.register(conn.transport().as_raw_fd(), id, Interest::READABLE) {
-                Ok(()) => {
-                    wheel.schedule(id, clock.now() + cfg.idle_timeout);
-                    conns.insert(id, conn);
-                }
-                Err(_) => {
-                    // Dropping the stream closes it; the peer sees a
-                    // reset rather than a black hole.
-                    reg.scope("faults").scope("serve").incr("reactor_lost");
-                }
+            let fd = stream.as_raw_fd();
+            let id = shard.adopt(stream);
+            if reactor.register(fd, id, Interest::READABLE).is_err() {
+                // Reaped on the next tick; dropping the stream closes it,
+                // so the peer sees a reset rather than a black hole.
+                shard.lose(id);
             }
         }
-        reg.scope("sched").scope("serve").gauge_max("conns_open", conns.len() as u64);
+        let next_deadline = match shard.tick() {
+            Tick::Wait(at) => at,
+            Tick::Done => break,
+        };
+        // Draining starts in `tick`: stop reading everywhere, keep
+        // writability only where a backlog remains. A failed
+        // re-registration is unrecoverable for the connection (the
+        // reactor has lost track of it); the shard closes and counts it.
+        shard.sync_interest(|s, id, want| reactor.reregister(s.as_raw_fd(), id, want));
 
-        if drain_deadline.is_none() && stop.is_stopped() {
-            drain_deadline = Some(clock.now() + cfg.drain_timeout);
-            // Draining: stop reading everywhere, keep writability only
-            // where a backlog remains — a flooding peer must not keep
-            // waking a shard that will never answer it again.
-            for conn in conns.values_mut() {
-                sync_interest(&mut reactor, conn, true, &mut reg);
-            }
-        }
-        let draining = drain_deadline.is_some();
-
-        // Dog food: bounded listen. Stop waiting on a silent peer —
-        // whether it has gone quiet or stopped draining replies.
-        while let Some((id, _)) = wheel.pop_expired(clock.now()) {
-            if id == RELOAD_WHEEL_KEY {
-                reg.scope("sched").scope("serve").incr("reload_polls");
-                engine.poll_reload(&mut reg);
-                if let Some(period) = cfg.reload_poll {
-                    wheel.schedule(RELOAD_WHEEL_KEY, clock.now() + period);
-                }
-                continue;
-            }
-            if let Some(conn) = conns.get_mut(&id) {
-                if conn.open {
-                    reg.scope("sched").scope("serve").incr("idle_closed");
-                    conn.open = false;
-                }
-            }
-        }
-        conns.retain(|id, c| {
-            if c.open {
-                true
-            } else {
-                // Deregister before the fd closes on drop so the
-                // fallback reactor's table stays truthful (epoll drops
-                // closed fds on its own).
-                let _ = reactor.deregister(c.transport().as_raw_fd(), *id);
-                wheel.cancel(id);
-                false
-            }
-        });
-
-        if let Some(deadline) = drain_deadline {
-            let drained = conns.values().all(|c| c.backlog() == 0);
-            if drained || clock.now() >= deadline {
-                break;
-            }
-        }
-
-        // Sleep until I/O, a doorbell, or the next deadline this shard
-        // owns — idle eviction or the drain bound, whichever is sooner.
-        // No deadline and no I/O means a blocking wait: an idle shard
-        // costs nothing.
-        let mut next_deadline = wheel.next_deadline();
-        if let Some(d) = drain_deadline {
-            next_deadline = Some(next_deadline.map_or(d, |n| n.min(d)));
-        }
         // Round the gap up to whole milliseconds at the conversion site:
         // epoll timeouts are millisecond-granular, and a truncating
         // conversion turns a deadline a few hundred µs out into a zero
@@ -615,36 +480,23 @@ fn shard_loop(
         if reactor.wait(timeout, &mut events).is_err() {
             // A broken reactor cannot deliver another event; abandoning
             // the shard beats spinning on the error.
-            reg.scope("faults").scope("serve").incr("reactor_lost");
+            shard.registry().scope("faults").scope("serve").incr("reactor_lost");
             break;
         }
-        reg.scope("sched").scope("serve").incr("epoll_wakeups");
+        shard.registry().scope("sched").scope("serve").incr("epoll_wakeups");
 
+        // Doorbells carry no work of their own: adoption and stop are
+        // handled at the top of the loop.
         let mut progress = false;
         let mut conn_events = false;
-        for &ev in &events {
-            if ev.token == WAKER_TOKEN {
-                // Doorbell: adoption and stop are handled at the top of
-                // the loop.
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token) else { continue };
+        for ev in events.iter().filter(|ev| ev.token != WAKER_TOKEN) {
             conn_events = true;
-            if ev.readable && !draining {
-                progress |= engine.service(conn, &mut reg);
-            }
-            if conn.open && (ev.writable || conn.backlog() > 0) {
-                progress |= engine.flush(conn, &mut reg);
-            }
-            if conn.touched {
-                conn.touched = false;
-                wheel.schedule(conn.id, clock.now() + cfg.idle_timeout);
-            }
-            sync_interest(&mut reactor, conn, draining, &mut reg);
+            progress |= shard.ready(ev.token, ev.readable, ev.writable);
         }
         if conn_events && !progress {
-            reg.scope("sched").scope("serve").incr("spurious_wakeups");
+            shard.registry().scope("sched").scope("serve").incr("spurious_wakeups");
         }
+        shard.sync_interest(|s, id, want| reactor.reregister(s.as_raw_fd(), id, want));
     }
-    reg
+    shard.into_registry()
 }

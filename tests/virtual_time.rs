@@ -12,14 +12,15 @@
 
 use beware::analysis::percentile::LatencySamples;
 use beware::faultsim::{FaultCfg, FaultyTransport};
-use beware::runtime::{Clock, VirtualClock};
+use beware::runtime::{Clock, StopSignal, VirtualClock};
 use beware::serve::proto;
 use beware::serve::{
-    build_snapshot, server, Client, ClientError, Message, Oracle, SnapshotCfg, Status,
+    build_snapshot, channel_pair, server, ChannelPeer, ChannelTransport, Client, ClientError,
+    EngineCore, Message, Oracle, Shard, SnapshotCfg, Status, Tick, Transport,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,110 +130,137 @@ fn long_chaos_schedules_replay_identically_without_wall_time() {
     );
 }
 
-/// An hour-long idle timeout fires in milliseconds: the shard loop's
-/// virtual naps carry the clock past the wheel deadline and the silent
-/// connection is evicted — bounded listen, with no real hour anywhere.
+/// A one-shard server on `vc`: its engine and its [`Shard`], with no
+/// listener, reactor or thread around them. The returned stop signal is
+/// the one a `Shutdown` frame or `ServerHandle::shutdown` would raise.
+fn shard_on<T: Transport>(
+    vc: &VirtualClock,
+    cfg: &server::ServerCfg,
+) -> (Shard<T>, Arc<StopSignal>) {
+    let stop = Arc::new(StopSignal::new());
+    let core = EngineCore::new(tiny_oracle(), Arc::clone(&stop), None, cfg.reload_from.clone());
+    (Shard::new(core.engine(vc.handle(), cfg.out_queue_cap), cfg, 0), stop)
+}
+
+/// Step `vc` straight to the deadline each tick returns, until the shard
+/// is done or `until` says stop. Panics if the shard ever waits with
+/// nothing owed, which would block a real driver forever.
+fn step<T: Transport>(
+    shard: &mut Shard<T>,
+    vc: &VirtualClock,
+    mut until: impl FnMut(&Shard<T>) -> bool,
+) -> Tick {
+    for _ in 0..10_000 {
+        let tick = shard.tick();
+        if tick == Tick::Done || until(shard) {
+            return tick;
+        }
+        let Tick::Wait(Some(at)) = tick else { panic!("shard waits with nothing owed") };
+        vc.advance(at.saturating_sub(vc.now()));
+    }
+    panic!("no progress after 10000 deadlines")
+}
+
+/// An hour-long idle timeout fires in microseconds: stepping the virtual
+/// clock to the shard's deadline evicts the silent connection — bounded
+/// listen, with no real hour, socket or thread anywhere.
 #[test]
 fn idle_eviction_fires_after_a_virtual_hour() {
-    let vc = VirtualClock::with_min_step(Duration::from_millis(100));
+    let vc = VirtualClock::new();
     let cfg = server::ServerCfg::builder()
         .shards(1)
         .idle_timeout(Duration::from_secs(3600))
         .drain_timeout(Duration::from_secs(5))
         .metrics(true)
-        .clock(vc.handle())
         .build()
         .unwrap();
-    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+    let (mut shard, stop) = shard_on(&vc, &cfg);
 
     // Connect and go silent. The server must give up on us.
-    let s = TcpStream::connect(handle.local_addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut buf = [0u8; 8];
-    match (&s).read(&mut buf) {
-        Ok(0) => {}
-        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
-        Ok(n) => panic!("server sent {n} unsolicited bytes"),
-        Err(e) => panic!("never evicted: read ended with {e} instead of a close"),
-    }
+    let (transport, _peer) = channel_pair();
+    let id = shard.adopt(transport);
+    step(&mut shard, &vc, |s| !s.contains(id));
     assert!(
         vc.now() >= Duration::from_secs(3600),
         "evicted after only {:?} of virtual time",
         vc.now()
     );
 
-    handle.shutdown();
-    let metrics = handle.join();
+    stop.request_stop();
+    assert_eq!(shard.tick(), Tick::Done, "nothing left to drain");
+    let metrics = shard.into_registry();
     assert_eq!(metrics.counter("sched/serve/idle_closed"), Some(1));
-    drop(s);
+}
+
+/// A peer that sends queries and never reads a reply: every write the
+/// server attempts would block.
+#[derive(Debug)]
+struct NeverReads(VecDeque<u8>);
+
+impl Transport for NeverReads {
+    fn read_nb(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.0.is_empty() {
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(self.0.len());
+        for b in buf.iter_mut().take(n) {
+            *b = self.0.pop_front().unwrap();
+        }
+        Ok(n)
+    }
+
+    fn write_nb(&mut self, _: &[u8]) -> io::Result<usize> {
+        Err(io::ErrorKind::WouldBlock.into())
+    }
 }
 
 /// The shutdown drain deadline measured on the virtual clock: a peer
-/// that floods queries and never reads a reply leaves a backlog that can
-/// never drain, so `join` must return only because 200 virtual seconds
-/// elapsed — not because the peer relented (it never does), and without
-/// waiting 200 real seconds.
+/// that never reads a reply leaves a backlog that can never drain, so
+/// the shard finishes only because 200 virtual seconds elapsed — not
+/// because the peer relented (it never does), and without waiting 200
+/// real seconds.
 #[test]
 fn shutdown_drain_deadline_elapses_in_virtual_time() {
-    let vc = VirtualClock::with_min_step(Duration::from_millis(100));
+    let vc = VirtualClock::new();
     let cfg = server::ServerCfg::builder()
         .shards(1)
         .idle_timeout(Duration::from_secs(7200))
         .drain_timeout(Duration::from_secs(200))
-        .out_queue_cap(256 << 20)
         .metrics(true)
-        .clock(vc.handle())
-        .reactor(server::ReactorKind::Auto)
         .build()
         .unwrap();
-    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+    let (mut shard, stop) = shard_on(&vc, &cfg);
 
-    // Flood 32 MiB of frame-aligned queries, never reading a reply: the
-    // replies overflow both socket buffers and pile into the (huge here)
-    // output queue, guaranteeing a backlog when shutdown arrives.
-    let s = TcpStream::connect(handle.local_addr()).unwrap();
-    s.set_nonblocking(true).unwrap();
     let frame = proto::encode(&Message::Query {
         addr: 0x0a00_0001,
         addr_pct_tenths: 950,
         ping_pct_tenths: 950,
     });
-    let burst: Vec<u8> = frame.iter().copied().cycle().take(frame.len() * 4800).collect();
-    let (mut sent, mut off) = (0usize, 0usize);
-    let flood_t0 = Instant::now();
-    while sent < 32 << 20 {
-        assert!(
-            flood_t0.elapsed() < Duration::from_secs(30),
-            "server stopped consuming the flood after {sent} bytes"
-        );
-        match (&s).write(&burst[off..]) {
-            Ok(0) => panic!("flood socket wedged"),
-            Ok(n) => {
-                sent += n;
-                off = (off + n) % burst.len();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => panic!("flood connection died early: {e}"),
-        }
-    }
+    let queries = frame.iter().copied().cycle().take(frame.len() * 64).collect();
+    let id = shard.adopt(NeverReads(queries));
+    assert!(shard.ready(id, true, true), "queries were read and answered");
+    assert_eq!(shard.tick(), Tick::Wait(Some(Duration::from_secs(7200))));
 
     let t_shutdown = vc.now();
-    handle.shutdown();
-    let metrics = handle.join();
+    stop.request_stop();
+    assert_eq!(step(&mut shard, &vc, |_| false), Tick::Done);
     let drained_for = vc.now().saturating_sub(t_shutdown);
     assert!(
         drained_for >= Duration::from_secs(200),
-        "join returned after only {drained_for:?} of virtual drain — \
+        "finished after only {drained_for:?} of virtual drain — \
          the deadline cannot have fired"
+    );
+    let metrics = shard.into_registry();
+    assert_eq!(
+        metrics.counter("sched/serve/idle_closed"),
+        Some(0),
+        "the drain bound, not the two-hour idle bound, must end the shard"
     );
     assert!(
         metrics.counter("faults/serve/write_backpressure").unwrap_or(0) > 0,
         "the stalled peer never exerted backpressure — nothing was drained against"
     );
     assert!(metrics.counter("serve/queries").unwrap_or(0) > 0);
-    drop(s);
 }
 
 /// Scripted in-memory oracle: every request written is answered with one
@@ -352,13 +380,24 @@ fn connect_retry_waits_out_a_virtual_deadline_instantly() {
     );
 }
 
+/// Ask the shard for its snapshot info over an in-memory connection.
+fn snapshot_info(shard: &mut Shard<ChannelTransport>, id: u64, peer: &ChannelPeer) -> Message {
+    peer.send(&proto::encode(&Message::SnapshotInfo));
+    assert!(shard.ready(id, true, true));
+    let mut bytes = Vec::new();
+    peer.drain(&mut bytes);
+    let (reply, used) = proto::try_decode(&bytes).unwrap().expect("a complete reply");
+    assert_eq!(used, bytes.len(), "one request, one reply");
+    reply
+}
+
 /// A wheel-scheduled snapshot reload: `reload_poll` arms a deadline on
-/// the shard's wheel, and the shard's virtual naps carry the clock past
-/// it — the source file is picked up and hot-swapped after ten *virtual*
-/// minutes, with zero real sleeps anywhere in server or test.
+/// the shard's wheel, and stepping the virtual clock to it picks up the
+/// source file and hot-swaps it after ten *virtual* minutes, with no
+/// real sleep, socket or thread anywhere in server or test.
 #[test]
 fn scheduled_reload_fires_through_the_wheel_in_virtual_time() {
-    let vc = VirtualClock::with_min_step(Duration::from_millis(100));
+    let vc = VirtualClock::new();
     // The file the poller watches holds a different snapshot than the
     // one served at boot, so the first poll that fires must swap.
     let mut samples = BTreeMap::new();
@@ -378,48 +417,39 @@ fn scheduled_reload_fires_through_the_wheel_in_virtual_time() {
         .shards(1)
         .idle_timeout(Duration::from_secs(7200))
         .metrics(true)
-        .clock(vc.handle())
         .reload_from(&source)
         .reload_poll(Duration::from_secs(600))
         .build()
         .unwrap();
-    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
-    let connect = || {
-        Client::connect_retry(handle.local_addr(), Duration::from_secs(5), Duration::from_secs(5))
-            .unwrap()
-    };
-    let mut client = connect();
-    assert_eq!(client.snapshot_info().unwrap().version, 1);
+    let (mut shard, stop) = shard_on(&vc, &cfg);
+    let (transport, peer) = channel_pair();
+    let id = shard.adopt(transport);
+    assert!(matches!(
+        snapshot_info(&mut shard, id, &peer),
+        Message::SnapshotInfoReply { version: 1, .. }
+    ));
 
-    let wall = Instant::now();
-    let info = loop {
-        match client.snapshot_info() {
-            Ok(info) if info.version >= 2 => break info,
-            Ok(_) => {}
-            // Idle eviction can beat a request when virtual time leaps;
-            // a fresh connection sees the same swapped oracle.
-            Err(_) => client = connect(),
-        }
-        assert!(
-            wall.elapsed() < Duration::from_secs(30),
-            "ten virtual minutes never elapsed; the scheduled reload never fired"
-        );
-        std::thread::yield_now();
+    // Step to the first poll deadline: the connection's idle deadline is
+    // two hours out, so the one that comes due first is the poll's.
+    assert_eq!(
+        step(&mut shard, &vc, |_| vc.now() >= Duration::from_secs(600)),
+        Tick::Wait(Some(Duration::from_secs(1200)))
+    );
+    let Message::SnapshotInfoReply { version, checksum, .. } = snapshot_info(&mut shard, id, &peer)
+    else {
+        panic!("SnapshotInfo must be answered with its reply")
     };
-    assert_eq!(info.checksum, beware::dataset::snapshot::snapshot_checksum(&next_snap));
+    assert_eq!(version, 2, "the poll swapped exactly once");
+    assert_eq!(checksum, beware::dataset::snapshot::snapshot_checksum(&next_snap));
     assert!(
         vc.now() >= Duration::from_secs(600),
         "poll fired after only {:?} of virtual time",
         vc.now()
     );
-    assert!(
-        wall.elapsed() < Duration::from_secs(30),
-        "a 10-minute poll period cost {:?} of wall clock",
-        wall.elapsed()
-    );
 
-    handle.shutdown();
-    let metrics = handle.join();
+    stop.request_stop();
+    assert_eq!(shard.tick(), Tick::Done);
+    let metrics = shard.into_registry();
     std::fs::remove_file(&source).ok();
     assert!(metrics.counter("sched/serve/reload_polls").unwrap_or(0) >= 1, "wheel never ticked");
     assert_eq!(metrics.counter("oracle/reloads"), Some(1), "exactly one content change");
