@@ -194,6 +194,23 @@ fn path_of(addr: u32) -> [LinkId; 3] {
     [LinkId::Access((addr >> 16) as u16), LinkId::Core(addr >> 12 & 0xf_ff00), LinkId::Spine(0)]
 }
 
+/// The served timeout in a reply leg: the bits of its last `Answer`,
+/// after any `ReportAck`s. `None` when a frame fails to decode, any other
+/// message arrives, or no answer does.
+fn answer_bits(mut bytes: &[u8]) -> Option<u64> {
+    let mut answer = None;
+    while !bytes.is_empty() {
+        let Ok(Some((msg, used))) = proto::try_decode(bytes) else { return None };
+        bytes = &bytes[used..];
+        match msg {
+            Message::Answer { timeout_bits, .. } => answer = Some(timeout_bits),
+            Message::ReportAck { .. } => {}
+            _ => return None,
+        }
+    }
+    answer
+}
+
 /// Timer-token kinds; the low 32 bits carry the cell-local client index.
 const FIRE: u64 = 0 << 32;
 const SERVER_RX: u64 = 1 << 32;
@@ -393,18 +410,15 @@ impl CellAgent {
         c.request.clear();
         if policy_mode {
             if let Some(rtt_us) = c.last_rtt_us {
-                c.request.extend_from_slice(&proto::encode(&Message::Report {
-                    addr: c.addr,
-                    rtt_us: rtt_us.min(u64::from(u32::MAX)) as u32,
-                }));
+                let rtt_us = rtt_us.min(u64::from(u32::MAX)) as u32;
+                proto::encode_into(&Message::Report { addr: c.addr, rtt_us }, &mut c.request);
                 self.out.reports_sent += 1;
             }
         }
-        c.request.extend_from_slice(&proto::encode(&Message::Query {
-            addr: c.addr,
-            addr_pct_tenths: r,
-            ping_pct_tenths: p,
-        }));
+        proto::encode_into(
+            &Message::Query { addr: c.addr, addr_pct_tenths: r, ping_pct_tenths: p },
+            &mut c.request,
+        );
         self.out.queries_sent += 1;
         let timeout = SimDuration::from_secs_f64(c.timeout_secs);
         c.timeout_timer = Some(ctx.set_timer(now + timeout, TIMEOUT | i as u64));
@@ -425,65 +439,45 @@ impl CellAgent {
 
     fn server_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        self.clients[i].net_timer = None;
-        let request = std::mem::take(&mut self.clients[i].request);
-        if request.is_empty() {
+        let c = &mut self.clients[i];
+        c.net_timer = None;
+        if c.request.is_empty() {
             return;
         }
-        self.peers[i].send(&request);
+        self.peers[i].send(&c.request);
+        c.request.clear();
         let engine = self.engine.as_mut().expect("engine built at start");
         engine.service(&mut self.conns[i], &mut self.out.reg);
         engine.flush(&mut self.conns[i], &mut self.out.reg);
-        let mut reply = Vec::new();
-        self.peers[i].drain(&mut reply);
-        if reply.is_empty() {
+        c.reply.clear();
+        self.peers[i].drain(&mut c.reply);
+        if c.reply.is_empty() {
             return;
         }
-        let addr = self.clients[i].addr;
-        match self.links.traverse(&path_of(addr), now) {
+        match self.links.traverse(&path_of(c.addr), now) {
             Some(extra) => {
                 let at = now + PROP_ONE_WAY + extra;
-                self.clients[i].reply = reply;
-                self.clients[i].net_timer = Some(ctx.set_timer(at, CLIENT_RX | i as u64));
+                c.net_timer = Some(ctx.set_timer(at, CLIENT_RX | i as u64));
             }
-            None => self.out.replies_dropped += 1,
+            None => {
+                self.out.replies_dropped += 1;
+                c.reply.clear();
+            }
         }
     }
 
     fn client_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.clients[i].net_timer = None;
-        let bytes = std::mem::take(&mut self.clients[i].reply);
         // The answer made it: cancel the timeout *before* judging the
         // payload — this is the wheel cancellation the refactor bought.
         if let Some(id) = self.clients[i].timeout_timer.take() {
             let cancelled = ctx.cancel_timer(id);
             debug_assert!(cancelled, "reply in hand implies a pending timeout");
         }
-        let mut answer = None;
-        let mut offset = 0;
-        while offset < bytes.len() {
-            match proto::try_decode(&bytes[offset..]) {
-                Ok(Some((msg, used))) => {
-                    offset += used;
-                    match msg {
-                        Message::Answer { .. } => answer = Some(msg),
-                        Message::ReportAck { .. } => {}
-                        _ => {
-                            self.out.errors += 1;
-                            self.next_attempt(i, ctx);
-                            return;
-                        }
-                    }
-                }
-                _ => {
-                    self.out.errors += 1;
-                    self.next_attempt(i, ctx);
-                    return;
-                }
-            }
-        }
-        let Some(Message::Answer { timeout_bits, .. }) = answer else {
+        let answer = answer_bits(&self.clients[i].reply);
+        self.clients[i].reply.clear();
+        let Some(timeout_bits) = answer else {
             self.out.errors += 1;
             self.next_attempt(i, ctx);
             return;

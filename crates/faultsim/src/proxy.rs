@@ -25,7 +25,7 @@
 use crate::rng::{derive_seed, SplitMix};
 use crate::FaultCfg;
 use beware_runtime::clock::{SharedClock, WallClock};
-use beware_runtime::wheel::DeadlineWheel;
+use beware_runtime::wheel::{DeadlineWheel, TimerKey};
 use beware_telemetry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -138,13 +138,24 @@ struct Pipe {
     /// which has not finished forwarding — held while a deferred delay
     /// for this direction is live on the wheel.
     planned: Option<usize>,
+    /// The planned chunk's deferred-delay release on the wheel, if a
+    /// delay fault fired for it.
+    delay: Option<TimerKey>,
     /// Telemetry suffix: `"up"` (client→server) or `"down"`.
     label: &'static str,
 }
 
 impl Pipe {
     fn new(label: &'static str) -> Pipe {
-        Pipe { pending: Vec::new(), pos: 0, src_eof: false, stalled: false, planned: None, label }
+        Pipe {
+            pending: Vec::new(),
+            pos: 0,
+            src_eof: false,
+            stalled: false,
+            planned: None,
+            delay: None,
+            label,
+        }
     }
 
     fn done(&self) -> bool {
@@ -182,9 +193,10 @@ fn pump_connection(
 
     let mut up = Pipe::new("up"); // client → server
     let mut down = Pipe::new("down"); // server → client
-                                      // Deferred-delay release deadlines, keyed by direction. A live entry
-                                      // for a pipe's label means its planned chunk is being held.
-    let mut wheel: DeadlineWheel<&'static str> = DeadlineWheel::new();
+
+    // Deferred-delay release deadlines. A pending entry under a pipe's
+    // `delay` key means its planned chunk is being held.
+    let mut wheel: DeadlineWheel<()> = DeadlineWheel::new();
 
     while !stop.load(Ordering::SeqCst) {
         // Release any direction whose injected delay has elapsed.
@@ -235,7 +247,7 @@ fn pump_dir(
     cfg: &FaultCfg,
     rng: &mut SplitMix,
     reg: &mut Registry,
-    wheel: &mut DeadlineWheel<&'static str>,
+    wheel: &mut DeadlineWheel<()>,
     clock: &SharedClock,
 ) -> Result<bool, ()> {
     let mut moved = false;
@@ -321,7 +333,7 @@ fn pump_dir(
                 if rng.coin(cfg.delay_prob) {
                     let ms = rng.one_to(cfg.max_delay_ms.max(1));
                     reg.scope("faults").scope("injected").incr("delays");
-                    wheel.schedule(pipe.label, clock.now() + Duration::from_millis(ms));
+                    pipe.delay = Some(wheel.insert(clock.now() + Duration::from_millis(ms), ()));
                 }
                 if rng.coin(cfg.corrupt_prob) {
                     let at = pipe.pos + (rng.next_u64() as usize) % n;
@@ -333,7 +345,7 @@ fn pump_dir(
                 n
             }
         };
-        if wheel.deadline_of(&pipe.label).is_some() {
+        if pipe.delay.is_some_and(|key| wheel.deadline_of(key).is_some()) {
             // The planned chunk is held by a deferred delay; nothing more
             // moves in this direction until the wheel releases it.
             break;
@@ -346,6 +358,7 @@ fn pump_dir(
                 }
                 pipe.pos += written;
                 pipe.planned = None;
+                pipe.delay = None;
                 moved = true;
             }
             Err(_) => return Err(()),

@@ -2,14 +2,14 @@
 //! the world.
 //!
 //! Agents are written callback-style against [`Ctx`]: they send packets,
-//! set timers, and receive deliveries. Since PR 10 the loop schedules
-//! through the shared `runtime::DeadlineWheel` (via [`EventQueue`]) and
-//! drives a [`SimClock`] forward as it pops — so timers are genuinely
-//! cancellable ([`Ctx::cancel_timer`], retiring the
-//! generation-counter idiom) and any component written against
-//! `beware_runtime::Clock` can observe the simulated timeline through
-//! [`Ctx::clock`]. Execution order stays trivially deterministic:
-//! `(time, push-sequence)`, pinned by test.
+//! set timers, and receive deliveries. The loop schedules through the
+//! shared `runtime::DeadlineWheel` (via [`EventQueue`]), which holds every
+//! pending event in a slab slot and hands back a key per event, and it
+//! drives a [`SimClock`] forward as it pops. So timers are genuinely
+//! cancellable at the cost of a slot lookup ([`Ctx::cancel_timer`]), and
+//! any component written against `beware_runtime::Clock` can observe the
+//! simulated timeline through [`Ctx::clock`]. Execution order stays
+//! trivially deterministic: `(time, push-sequence)`, pinned by test.
 
 use crate::event::{EventKey, EventQueue};
 use crate::packet::Packet;

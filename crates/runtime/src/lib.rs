@@ -22,10 +22,12 @@
 //!   the workspace; `beware-netsim`, `beware-faultsim` and
 //!   `beware-serve` all re-export or delegate to it, with equivalence
 //!   tests pinning the streams to the retired private copies.
-//! * [`DeadlineWheel`] — a binary-heap deadline scheduler with lazy
-//!   cancellation, shared by the oracle server's shard loop (idle
-//!   eviction) and the chaos proxy (deferred delayed chunks), replacing
-//!   their ad-hoc `last_active` / inline-sleep deadline math.
+//! * [`DeadlineWheel`] — the one deadline scheduler: a slab of
+//!   generation-stamped slots under a heap of plain integers, handing out
+//!   [`TimerKey`]s for cancellation with no hashing on any path. netsim's
+//!   event queue runs on it, as do the oracle server's shards (idle
+//!   eviction, reload polls) and the chaos proxy (deferred delayed
+//!   chunks).
 //! * [`reactor`] — readiness-driven I/O: a minimal epoll reactor (with
 //!   its own `extern "C"` glibc bindings — the build is hermetic, so no
 //!   `mio`/`libc`), so the serve path blocks on *I/O or the next wheel
@@ -62,4 +64,4 @@ pub use reactor::EpollReactor;
 pub use reactor::{round_wait_up_to_ms, Event, Interest, StopSignal, Waker};
 pub use rng::{derive_seed, unit_hash, SplitMix64};
 pub use swap::{Slot, SlotReader};
-pub use wheel::DeadlineWheel;
+pub use wheel::{DeadlineWheel, TimerKey};

@@ -316,9 +316,8 @@ fn admin_reload(kind: ReloadKind, ctx: &ReloadCtx, reg: &mut Registry) -> Messag
 
 /// One connection owned by a shard, generic over its byte medium.
 pub struct Conn<T> {
-    /// Shard-local identity — the reactor registration token and the key
-    /// of this connection's idle deadline on the shard's deadline wheel.
-    pub(crate) id: u64,
+    /// Shard-local identity: the reactor registration token.
+    id: u64,
     pub(crate) transport: T,
     /// Reassembly buffer for partially received frames.
     buf: Vec<u8>,
@@ -357,6 +356,11 @@ impl<T> Conn<T> {
             touched: false,
             interest: Interest::READABLE,
         }
+    }
+
+    /// Shard-local identity: the reactor registration token.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Bytes queued but not yet on the wire.
@@ -595,6 +599,10 @@ impl Engine {
         // in-sim channel the final frame and the close are visible in
         // the same pass).
         let mut saw_eof = false;
+        // This pass's bytes collect in the scratch buffer and spill into
+        // the connection's reassembly buffer only when the scratch fills.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut filled = 0;
         while conn.open && !conn.close_after_flush {
             if budget == 0 {
                 // Fairness: leave the rest for the next readiness report
@@ -602,8 +610,12 @@ impl Engine {
                 reg.scope("sched").scope("serve").incr("read_budget_deferrals");
                 break;
             }
-            let want = self.scratch.len().min(budget);
-            match conn.transport.read_nb(&mut self.scratch[..want]) {
+            if filled == scratch.len() {
+                conn.buf.extend_from_slice(&scratch[..filled]);
+                filled = 0;
+            }
+            let want = (scratch.len() - filled).min(budget);
+            match conn.transport.read_nb(&mut scratch[filled..filled + want]) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
@@ -611,7 +623,7 @@ impl Engine {
                 Ok(n) => {
                     budget -= n;
                     reg.scope("serve").add("bytes_in", n as u64);
-                    conn.buf.extend_from_slice(&self.scratch[..n]);
+                    filled += n;
                     conn.touched = true;
                     progress = true;
                 }
@@ -624,41 +636,22 @@ impl Engine {
             }
         }
 
-        let mut consumed = 0usize;
-        while conn.open && !conn.close_after_flush {
-            match proto::try_decode(&conn.buf[consumed..]) {
-                Ok(Some((msg, used))) => {
-                    consumed += used;
-                    let t0 = self.clock.now();
-                    let (reply, close) = self.handle_request(&msg, reg);
-                    let frame = proto::encode(&reply);
-                    reg.scope("serve").add("bytes_out", frame.len() as u64);
-                    self.enqueue_reply(conn, &frame, reg);
-                    let ns = u64::try_from(self.clock.since(t0).as_nanos()).unwrap_or(u64::MAX);
-                    reg.scope("walltime").scope("serve").observe("request_ns", ns);
-                    if close {
-                        conn.close_after_flush = true;
-                    }
-                    progress = true;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing is lost: queue one error report, then close
-                    // once it has drained.
-                    reg.scope("serve").incr("proto_errors");
-                    let code = match e {
-                        ProtoError::Version(_) => ErrorCode::BadVersion,
-                        _ => ErrorCode::Malformed,
-                    };
-                    let frame = proto::encode(&Message::Error { code });
-                    reg.scope("serve").add("bytes_out", frame.len() as u64);
-                    self.enqueue_reply(conn, &frame, reg);
-                    conn.close_after_flush = true;
-                    progress = true;
-                }
-            }
+        // With nothing held over from an earlier pass, whole frames decode
+        // straight out of the scratch buffer and only a partial tail is
+        // kept — the common case copies no request bytes at all.
+        if conn.buf.is_empty() {
+            let (consumed, answered) = self.answer_frames(&scratch[..filled], conn, reg);
+            conn.buf.extend_from_slice(&scratch[consumed..filled]);
+            progress |= answered;
+        } else {
+            conn.buf.extend_from_slice(&scratch[..filled]);
+            let held = std::mem::take(&mut conn.buf);
+            let (consumed, answered) = self.answer_frames(&held, conn, reg);
+            conn.buf = held;
+            conn.buf.drain(..consumed);
+            progress |= answered;
         }
-        conn.buf.drain(..consumed);
+        self.scratch = scratch;
         if saw_eof && conn.open {
             if conn.backlog() > 0 {
                 conn.close_after_flush = true;
@@ -669,15 +662,61 @@ impl Engine {
         progress
     }
 
-    /// Queue a reply frame on a connection, enforcing the output bound.
-    /// A peer that has let the cap's worth of bytes pile up is cut off.
-    fn enqueue_reply<T>(&self, conn: &mut Conn<T>, frame: &[u8], reg: &mut Registry) {
-        if conn.backlog() + frame.len() > self.out_queue_cap {
+    /// Answer the complete frames at the front of `frames`, queueing a
+    /// reply for each on `conn`. Returns the bytes consumed and whether
+    /// any reply was queued.
+    fn answer_frames<T>(
+        &mut self,
+        frames: &[u8],
+        conn: &mut Conn<T>,
+        reg: &mut Registry,
+    ) -> (usize, bool) {
+        let mut consumed = 0usize;
+        let mut answered = false;
+        while conn.open && !conn.close_after_flush {
+            match proto::try_decode(&frames[consumed..]) {
+                Ok(Some((msg, used))) => {
+                    consumed += used;
+                    let t0 = self.clock.now();
+                    let (reply, close) = self.handle_request(&msg, reg);
+                    self.enqueue_reply(conn, &reply, reg);
+                    let ns = u64::try_from(self.clock.since(t0).as_nanos()).unwrap_or(u64::MAX);
+                    reg.scope("walltime").scope("serve").observe("request_ns", ns);
+                    if close {
+                        conn.close_after_flush = true;
+                    }
+                    answered = true;
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    // Framing is lost: queue one error report, then close
+                    // once it has drained.
+                    reg.scope("serve").incr("proto_errors");
+                    let code = match e {
+                        ProtoError::Version(_) => ErrorCode::BadVersion,
+                        _ => ErrorCode::Malformed,
+                    };
+                    self.enqueue_reply(conn, &Message::Error { code }, reg);
+                    conn.close_after_flush = true;
+                    answered = true;
+                }
+            }
+        }
+        (consumed, answered)
+    }
+
+    /// Encode a reply straight onto a connection's output queue,
+    /// enforcing the output bound: a peer that has let the cap's worth of
+    /// bytes pile up is cut off, and the frame is taken back off.
+    fn enqueue_reply<T>(&self, conn: &mut Conn<T>, reply: &Message, reg: &mut Registry) {
+        let start = conn.out.len();
+        proto::encode_into(reply, &mut conn.out);
+        reg.scope("serve").add("bytes_out", (conn.out.len() - start) as u64);
+        if conn.backlog() > self.out_queue_cap {
+            conn.out.truncate(start);
             reg.scope("faults").scope("serve").incr("queue_overflow_closed");
             conn.open = false;
-            return;
         }
-        conn.out.extend_from_slice(frame);
     }
 
     /// Dispatch one decoded request. Returns the reply and whether the

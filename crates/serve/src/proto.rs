@@ -245,73 +245,99 @@ impl std::error::Error for ProtoError {}
 
 /// Encode a message into a complete frame (length prefix included).
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MAX_FRAME);
-    body.put_u8(PROTO_VERSION);
+    let mut frame = Vec::new();
+    encode_into(msg, &mut frame);
+    frame
+}
+
+/// One frame assembled on the stack: the length prefix, then the body.
+struct StackFrame {
+    buf: [u8; MAX_FRAME + 2],
+    len: usize,
+}
+
+impl BufMut for StackFrame {
+    fn put_slice(&mut self, src: &[u8]) {
+        // Every current payload is far below MAX_FRAME by construction,
+        // but a future opcode with a bigger payload would silently
+        // truncate the u16 length prefix (and desynchronize every decoder
+        // downstream) — fail loudly at the encode site instead. The
+        // bound leaves room for the checksum.
+        let end = self.len + src.len();
+        assert!(
+            end <= MAX_FRAME,
+            "encoded body ({} bytes + 2 checksum) exceeds MAX_FRAME ({MAX_FRAME})",
+            end - 2
+        );
+        self.buf[self.len..end].copy_from_slice(src);
+        self.len = end;
+    }
+}
+
+/// Append a message's complete frame (length prefix included) to `out`.
+/// The frame is assembled on the stack, so this allocates only if `out`
+/// must grow: the server writes replies straight into a connection's
+/// output queue this way.
+pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    // The length prefix is patched in once the body is known.
+    let mut frame = StackFrame { buf: [0; MAX_FRAME + 2], len: 2 };
+    frame.put_u8(PROTO_VERSION);
     match *msg {
         Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-            body.put_u8(OP_QUERY);
-            body.put_u32_le(addr);
-            body.put_u16_le(addr_pct_tenths);
-            body.put_u16_le(ping_pct_tenths);
+            frame.put_u8(OP_QUERY);
+            frame.put_u32_le(addr);
+            frame.put_u16_le(addr_pct_tenths);
+            frame.put_u16_le(ping_pct_tenths);
         }
-        Message::Stats => body.put_u8(OP_STATS),
-        Message::Shutdown => body.put_u8(OP_SHUTDOWN),
+        Message::Stats => frame.put_u8(OP_STATS),
+        Message::Shutdown => frame.put_u8(OP_SHUTDOWN),
         Message::Answer { status, timeout_bits, prefix, prefix_len } => {
-            body.put_u8(OP_ANSWER);
-            body.put_u8(status as u8);
-            body.put_u64_le(timeout_bits);
-            body.put_u32_le(prefix);
-            body.put_u8(prefix_len);
+            frame.put_u8(OP_ANSWER);
+            frame.put_u8(status as u8);
+            frame.put_u64_le(timeout_bits);
+            frame.put_u32_le(prefix);
+            frame.put_u8(prefix_len);
         }
         Message::StatsReply { queries, hits_exact, hits_fallback } => {
-            body.put_u8(OP_STATS_REPLY);
-            body.put_u64_le(queries);
-            body.put_u64_le(hits_exact);
-            body.put_u64_le(hits_fallback);
+            frame.put_u8(OP_STATS_REPLY);
+            frame.put_u64_le(queries);
+            frame.put_u64_le(hits_exact);
+            frame.put_u64_le(hits_fallback);
         }
-        Message::ShutdownAck => body.put_u8(OP_SHUTDOWN_ACK),
-        Message::SnapshotInfo => body.put_u8(OP_SNAPSHOT_INFO),
+        Message::ShutdownAck => frame.put_u8(OP_SHUTDOWN_ACK),
+        Message::SnapshotInfo => frame.put_u8(OP_SNAPSHOT_INFO),
         Message::Reload { kind } => {
-            body.put_u8(OP_RELOAD);
-            body.put_u8(kind as u8);
+            frame.put_u8(OP_RELOAD);
+            frame.put_u8(kind as u8);
         }
         Message::SnapshotInfoReply { version, entries, checksum } => {
-            body.put_u8(OP_SNAPSHOT_INFO_REPLY);
-            body.put_u64_le(version);
-            body.put_u32_le(entries);
-            body.put_u64_le(checksum);
+            frame.put_u8(OP_SNAPSHOT_INFO_REPLY);
+            frame.put_u64_le(version);
+            frame.put_u32_le(entries);
+            frame.put_u64_le(checksum);
         }
         Message::Report { addr, rtt_us } => {
-            body.put_u8(OP_REPORT);
-            body.put_u32_le(addr);
-            body.put_u32_le(rtt_us);
+            frame.put_u8(OP_REPORT);
+            frame.put_u32_le(addr);
+            frame.put_u32_le(rtt_us);
         }
         Message::ReportAck { reports } => {
-            body.put_u8(OP_REPORT_ACK);
-            body.put_u64_le(reports);
+            frame.put_u8(OP_REPORT_ACK);
+            frame.put_u64_le(reports);
         }
         Message::Error { code } => {
-            body.put_u8(OP_ERROR);
-            body.put_u8(code as u8);
+            frame.put_u8(OP_ERROR);
+            frame.put_u8(code as u8);
         }
     }
     let mut ck = Checksum::new();
-    ck.add_bytes(&body);
-    let ck = ck.finish();
-    // Every current payload is far below MAX_FRAME by construction, but a
-    // future opcode with a bigger payload would silently truncate the u16
-    // length prefix (and desynchronize every decoder downstream) — fail
-    // loudly at the encode site instead.
-    assert!(
-        body.len() + 2 <= MAX_FRAME,
-        "encoded body ({} bytes + 2 checksum) exceeds MAX_FRAME ({MAX_FRAME})",
-        body.len()
-    );
-    let mut frame = Vec::with_capacity(body.len() + 4);
-    frame.put_u16_le((body.len() + 2) as u16);
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&ck.to_be_bytes());
-    frame
+    ck.add_bytes(&frame.buf[2..frame.len]);
+    // The prefix counts the version byte through the checksum: the
+    // `frame.len - 2` body bytes so far plus 2, which is `frame.len`.
+    let body_end = frame.len;
+    frame.buf[..2].copy_from_slice(&(body_end as u16).to_le_bytes());
+    frame.buf[body_end..body_end + 2].copy_from_slice(&ck.finish().to_be_bytes());
+    out.extend_from_slice(&frame.buf[..body_end + 2]);
 }
 
 /// Decode a frame body (everything after the length prefix).
@@ -509,6 +535,36 @@ mod tests {
             assert_eq!(incr, msg);
             assert_eq!(used, frame.len());
         }
+    }
+
+    #[test]
+    fn a_query_frame_is_pinned_byte_for_byte() {
+        let frame = encode(&Message::Query {
+            addr: 0x0a010203,
+            addr_pct_tenths: 950,
+            ping_pct_tenths: 980,
+        });
+        let expect =
+            [0x0c, 0x00, 0x01, 0x01, 0x03, 0x02, 0x01, 0x0a, 0xb6, 0x03, 0xd4, 0x03, 0x70, 0xeb];
+        assert_eq!(frame, expect);
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_frames() {
+        let mut out = b"prefix".to_vec();
+        let mut expect = out.clone();
+        for msg in all_messages() {
+            encode_into(&msg, &mut out);
+            expect.extend_from_slice(&encode(&msg));
+        }
+        assert_eq!(out, expect);
+        let mut rest = &out[b"prefix".len()..];
+        for msg in all_messages() {
+            let (back, used) = try_decode(rest).unwrap().unwrap();
+            assert_eq!(back, msg);
+            rest = &rest[used..];
+        }
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -24,16 +24,27 @@ use crate::engine::{Conn, Engine, Transport};
 use crate::server::ServerCfg;
 use beware_runtime::clock::SharedClock;
 use beware_runtime::reactor::Interest;
-use beware_runtime::wheel::DeadlineWheel;
+use beware_runtime::wheel::{DeadlineWheel, TimerKey};
 use beware_telemetry::Registry;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Deadline-wheel key reserved for shard 0's reload poll. Connection
-/// ids count up from zero and can never reach it.
-const RELOAD_WHEEL_KEY: u64 = u64::MAX;
+/// What a deadline on the shard's wheel is for.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    /// Connection `id`'s idle bound.
+    Idle(u64),
+    /// Shard 0's reload poll.
+    Reload,
+}
+
+/// A held connection and the key of its pending idle deadline.
+struct Held<T> {
+    conn: Conn<T>,
+    idle: TimerKey,
+}
 
 /// What a driver should do after [`Shard::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,11 +62,12 @@ pub struct Shard<T> {
     engine: Engine,
     clock: SharedClock,
     reg: Registry,
-    conns: HashMap<u64, Conn<T>>,
-    /// Every deadline this shard owes, keyed by connection id (idle
-    /// eviction) or [`RELOAD_WHEEL_KEY`]. Its next deadline, capped by
-    /// the drain bound, is what [`tick`](Shard::tick) returns.
-    wheel: DeadlineWheel<u64>,
+    conns: HashMap<u64, Held<T>>,
+    /// Every deadline this shard owes: each connection's idle bound
+    /// (its key held beside the connection) and the reload poll. Its
+    /// next deadline, capped by the drain bound, is what
+    /// [`tick`](Shard::tick) returns.
+    wheel: DeadlineWheel<Due>,
     next_id: u64,
     idle_timeout: Duration,
     drain_timeout: Duration,
@@ -81,7 +93,7 @@ impl<T: Transport> Shard<T> {
         let reload_poll = cfg.reload_poll.filter(|_| index == 0);
         let mut wheel = DeadlineWheel::new();
         if let Some(period) = reload_poll {
-            wheel.schedule(RELOAD_WHEEL_KEY, clock.now() + period);
+            wheel.insert(clock.now() + period, Due::Reload);
         }
         Shard {
             engine,
@@ -105,8 +117,8 @@ impl<T: Transport> Shard<T> {
         self.reg.scope("sched").scope("serve").incr("connections_assigned");
         let id = self.next_id;
         self.next_id += 1;
-        self.wheel.schedule(id, self.clock.now() + self.idle_timeout);
-        self.conns.insert(id, Conn::new(id, transport));
+        let idle = self.wheel.insert(self.clock.now() + self.idle_timeout, Due::Idle(id));
+        self.conns.insert(id, Held { conn: Conn::new(id, transport), idle });
         id
     }
 
@@ -115,7 +127,7 @@ impl<T: Transport> Shard<T> {
     /// pushes the idle deadline out. Returns whether any byte moved.
     pub fn ready(&mut self, id: u64, readable: bool, writable: bool) -> bool {
         let draining = self.drain_deadline.is_some();
-        let Some(conn) = self.conns.get_mut(&id) else { return false };
+        let Some(Held { conn, idle }) = self.conns.get_mut(&id) else { return false };
         let mut progress = false;
         if readable && !draining {
             progress |= self.engine.service(conn, &mut self.reg);
@@ -125,7 +137,8 @@ impl<T: Transport> Shard<T> {
         }
         if conn.touched {
             conn.touched = false;
-            self.wheel.schedule(id, self.clock.now() + self.idle_timeout);
+            self.wheel.cancel(*idle);
+            *idle = self.wheel.insert(self.clock.now() + self.idle_timeout, Due::Idle(id));
         }
         if conn.desired_interest(draining) != conn.interest {
             self.dirty.push(id);
@@ -137,9 +150,9 @@ impl<T: Transport> Shard<T> {
     /// failed registration). Counted under `faults/serve/reactor_lost`;
     /// the next [`tick`](Shard::tick) reaps it.
     pub fn lose(&mut self, id: u64) {
-        if let Some(conn) = self.conns.get_mut(&id) {
+        if let Some(held) = self.conns.get_mut(&id) {
             self.reg.scope("faults").scope("serve").incr("reactor_lost");
-            conn.open = false;
+            held.conn.open = false;
         }
     }
 
@@ -151,7 +164,7 @@ impl<T: Transport> Shard<T> {
     pub fn sync_interest(&mut self, mut apply: impl FnMut(&T, u64, Interest) -> io::Result<()>) {
         let draining = self.drain_deadline.is_some();
         for id in self.dirty.drain(..) {
-            let Some(conn) = self.conns.get_mut(&id) else { continue };
+            let Some(Held { conn, .. }) = self.conns.get_mut(&id) else { continue };
             let want = conn.desired_interest(draining);
             if !conn.open || want == conn.interest {
                 continue;
@@ -182,16 +195,19 @@ impl<T: Transport> Shard<T> {
             self.dirty.extend(self.conns.keys().copied());
         }
 
-        while let Some((id, _)) = self.wheel.pop_expired(now) {
-            if id == RELOAD_WHEEL_KEY {
-                self.reg.scope("sched").scope("serve").incr("reload_polls");
-                self.engine.poll_reload(&mut self.reg);
-                if let Some(period) = self.reload_poll {
-                    self.wheel.schedule(RELOAD_WHEEL_KEY, now + period);
+        while let Some((due, _)) = self.wheel.pop_expired(now) {
+            let id = match due {
+                Due::Reload => {
+                    self.reg.scope("sched").scope("serve").incr("reload_polls");
+                    self.engine.poll_reload(&mut self.reg);
+                    if let Some(period) = self.reload_poll {
+                        self.wheel.insert(now + period, Due::Reload);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            if let Some(conn) = self.conns.get_mut(&id) {
+                Due::Idle(id) => id,
+            };
+            if let Some(Held { conn, .. }) = self.conns.get_mut(&id) {
                 if conn.open {
                     self.reg.scope("sched").scope("serve").incr("idle_closed");
                     conn.open = false;
@@ -199,17 +215,19 @@ impl<T: Transport> Shard<T> {
             }
         }
         let wheel = &mut self.wheel;
-        self.conns.retain(|_, c| {
-            if !c.open {
-                wheel.cancel(&c.id);
+        self.conns.retain(|_, held| {
+            if !held.conn.open {
+                wheel.cancel(held.idle);
             }
-            c.open
+            held.conn.open
         });
 
         let next = self.wheel.next_deadline();
         match self.drain_deadline {
             None => Tick::Wait(next),
-            Some(deadline) if now >= deadline || self.conns.values().all(|c| c.backlog() == 0) => {
+            Some(deadline)
+                if now >= deadline || self.conns.values().all(|h| h.conn.backlog() == 0) =>
+            {
                 Tick::Done
             }
             Some(deadline) => Tick::Wait(Some(next.map_or(deadline, |n| n.min(deadline)))),
@@ -319,13 +337,15 @@ mod tests {
         vc.advance(MINUTE);
         closing_peer.close();
         shard.ready(closing_id, true, false);
-        assert!(shard.wheel.deadline_of(&closing_id).is_some());
+        let closing_key = shard.conns[&closing_id].idle;
+        assert!(shard.wheel.deadline_of(closing_key).is_some());
         assert_eq!(shard.tick(), Tick::Wait(Some(60 * MINUTE)));
         assert!(!shard.contains(closing_id));
-        assert_eq!(shard.wheel.deadline_of(&closing_id), None);
+        assert_eq!(shard.wheel.deadline_of(closing_key), None);
 
+        let idle_key = shard.conns[&idle_id].idle;
         run_until_reaped(&mut shard, &vc, idle_id);
-        assert_eq!(shard.wheel.deadline_of(&idle_id), None);
+        assert_eq!(shard.wheel.deadline_of(idle_key), None);
         assert!(shard.wheel.is_empty(), "nothing left to wake for");
         assert_eq!(shard.tick(), Tick::Wait(None));
     }

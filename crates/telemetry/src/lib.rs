@@ -13,12 +13,14 @@
 //!   thread counts; [`Registry::merge`] is commutative over `u64`
 //!   arithmetic but callers still merge in fixed task order so even a
 //!   future non-commutative metric kind would stay reproducible.
-//! * **Near-zero cost when disabled.** A registry built with
+//! * **No allocation once a name exists.** A [`Scope`] keeps its prefix
+//!   inline and joins `prefix/name` in a stack buffer; the registry looks
+//!   the joined `&str` up in place and allocates the key only the first
+//!   time a name is recorded. So `reg.scope("serve").incr("queries")` on
+//!   a per-request path costs a short copy and one ordered-map lookup,
+//!   and lands in the registry synchronously. A registry built with
 //!   [`Registry::disabled`] turns every recording call into a branch on
-//!   one bool; no strings are formatted, no map entries touched. Hot
-//!   loops should still aggregate into plain struct counters and flush
-//!   once at end of run — the per-metric `String` lookup is meant for
-//!   end-of-run recording, not per-packet paths.
+//!   one bool.
 //! * **Hierarchical names.** Metric names are `/`-joined paths
 //!   (`probe/survey/matched`); a [`Scope`] is a registry view with a
 //!   fixed prefix, nestable via [`Scope::scope`].
@@ -255,7 +257,7 @@ impl Registry {
 
     /// A recording view prefixed with `name` (e.g. `"netsim"`).
     pub fn scope(&mut self, name: &str) -> Scope<'_> {
-        Scope { reg: self, prefix: name.to_string() }
+        Scope { reg: self, prefix: Name::join(&[name]) }
     }
 
     /// Look up a metric by full name.
@@ -278,50 +280,38 @@ impl Registry {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    fn add(&mut self, name: String, delta: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Metric::Counter(delta));
+    // Each recorder looks `name` up in place and copies it to the heap
+    // only when the metric is new.
+
+    fn add(&mut self, name: &str, delta: u64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Counter(v)) => *v += delta,
+            Some(m) => panic!("telemetry: `{name}` is a {}, not a counter", m.kind_name()),
+            None => {
+                self.metrics.insert(name.to_owned(), Metric::Counter(delta));
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Counter(v) => *v += delta,
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a counter", e.key())
-                }
-            },
         }
     }
 
-    fn gauge_max(&mut self, name: String, value: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Metric::Gauge(value));
+    fn gauge_max(&mut self, name: &str, value: u64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Gauge(v)) => *v = (*v).max(value),
+            Some(m) => panic!("telemetry: `{name}` is a {}, not a gauge", m.kind_name()),
+            None => {
+                self.metrics.insert(name.to_owned(), Metric::Gauge(value));
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Gauge(v) => *v = (*v).max(value),
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a gauge", e.key())
-                }
-            },
         }
     }
 
-    fn observe(&mut self, name: String, value: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
+    fn observe(&mut self, name: &str, value: u64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Histogram(h)) => h.observe(value),
+            Some(m) => panic!("telemetry: `{name}` is a {}, not a histogram", m.kind_name()),
+            None => {
                 let mut h = Histogram::default();
                 h.observe(value);
-                e.insert(Metric::Histogram(h));
+                self.metrics.insert(name.to_owned(), Metric::Histogram(h));
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Histogram(h) => h.observe(value),
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a histogram", e.key())
-                }
-            },
         }
     }
 
@@ -393,12 +383,59 @@ impl Registry {
     }
 }
 
+/// Longest name (prefix or full metric name) kept on the stack; longer
+/// ones are joined on the heap instead, with the same result.
+const INLINE_NAME: usize = 96;
+
+/// A `/`-joined metric name or prefix, assembled without touching the
+/// heap when it fits in [`INLINE_NAME`] bytes.
+enum Name {
+    Inline { len: u8, buf: [u8; INLINE_NAME] },
+    Heap(String),
+}
+
+impl Name {
+    /// Concatenate `parts`.
+    fn join(parts: &[&str]) -> Name {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        if total > INLINE_NAME {
+            return Name::Heap(parts.concat());
+        }
+        let mut buf = [0u8; INLINE_NAME];
+        let mut len = 0;
+        for part in parts {
+            buf[len..len + part.len()].copy_from_slice(part.as_bytes());
+            len += part.len();
+        }
+        Name::Inline { len: len as u8, buf }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            // Whole `str`s concatenated are valid UTF-8; the check is a
+            // short ASCII scan for every name this workspace records.
+            Name::Inline { len, buf } => {
+                std::str::from_utf8(&buf[..usize::from(*len)]).expect("joined from whole strs")
+            }
+            Name::Heap(s) => s,
+        }
+    }
+}
+
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// A prefixed recording view of a [`Registry`]. Metric names passed to
 /// the recording methods are joined to the scope's prefix with `/`.
+/// Recording allocates nothing once the metric exists; every value lands
+/// in the registry before the call returns.
 #[derive(Debug)]
 pub struct Scope<'a> {
     reg: &'a mut Registry,
-    prefix: String,
+    prefix: Name,
 }
 
 impl Scope<'_> {
@@ -410,19 +447,20 @@ impl Scope<'_> {
 
     /// A nested scope: `self.prefix + "/" + name`.
     pub fn scope(&mut self, name: &str) -> Scope<'_> {
-        let prefix = if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}/{name}", self.prefix)
-        };
+        let prefix = self.full(name);
         Scope { reg: self.reg, prefix }
     }
 
-    fn full(&self, name: &str) -> String {
-        if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}/{name}", self.prefix)
+    /// `prefix/name`, or `name` under an empty prefix.
+    fn full(&self, name: &str) -> Name {
+        self.family(name, "", "")
+    }
+
+    /// `family` + `prefix/name` + `suffix`.
+    fn family(&self, name: &str, family: &str, suffix: &str) -> Name {
+        match self.prefix.as_str() {
+            "" => Name::join(&[family, name, suffix]),
+            prefix => Name::join(&[family, prefix, "/", name, suffix]),
         }
     }
 
@@ -431,7 +469,7 @@ impl Scope<'_> {
         if !self.reg.enabled {
             return;
         }
-        self.reg.add(self.full(name), delta);
+        self.reg.add(self.full(name).as_str(), delta);
     }
 
     /// Increment the counter `name` by one.
@@ -444,7 +482,7 @@ impl Scope<'_> {
         if !self.reg.enabled {
             return;
         }
-        self.reg.gauge_max(self.full(name), value);
+        self.reg.gauge_max(self.full(name).as_str(), value);
     }
 
     /// Record `value` into the histogram `name`.
@@ -452,7 +490,7 @@ impl Scope<'_> {
         if !self.reg.enabled {
             return;
         }
-        self.reg.observe(self.full(name), value);
+        self.reg.observe(self.full(name).as_str(), value);
     }
 
     /// Time `f` on the registry's clock (the wall by default, a
@@ -478,8 +516,7 @@ impl Scope<'_> {
             }
         };
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let full = format!("{WALLTIME_FAMILY}{}_ns", self.full(name));
-        self.reg.add(full, ns);
+        self.reg.add(self.family(name, WALLTIME_FAMILY, "_ns").as_str(), ns);
         out
     }
 
@@ -490,8 +527,7 @@ impl Scope<'_> {
             return;
         }
         let ns = (secs.max(0.0) * 1e9).round() as u64;
-        let full = format!("{WALLTIME_FAMILY}{}_ns", self.full(name));
-        self.reg.add(full, ns);
+        self.reg.add(self.family(name, WALLTIME_FAMILY, "_ns").as_str(), ns);
     }
 }
 
@@ -530,6 +566,33 @@ mod tests {
         let mut survey = probe.scope("survey");
         survey.add("matched", 7);
         assert_eq!(reg.counter("probe/survey/matched"), Some(7));
+    }
+
+    #[test]
+    fn names_past_the_inline_buffer_join_the_same_way() {
+        let long = "x".repeat(INLINE_NAME);
+        let mut reg = Registry::new();
+        let mut outer = reg.scope("probe");
+        let mut inner = outer.scope(&long);
+        inner.incr("matched");
+        inner.record_wall_secs("span", 1e-9);
+        let mut short = outer.scope("survey");
+        short.add("matched", 2);
+        assert_eq!(reg.counter(&format!("probe/{long}/matched")), Some(1));
+        assert_eq!(reg.counter(&format!("walltime/probe/{long}/span_ns")), Some(1));
+        assert_eq!(reg.counter("probe/survey/matched"), Some(2));
+    }
+
+    #[test]
+    fn an_empty_prefix_adds_no_separator() {
+        let mut reg = Registry::new();
+        let mut root = reg.scope("");
+        root.incr("top");
+        root.scope("nested").incr("leaf");
+        root.record_wall_secs("span", 2e-9);
+        assert_eq!(reg.counter("top"), Some(1));
+        assert_eq!(reg.counter("nested/leaf"), Some(1));
+        assert_eq!(reg.counter("walltime/span_ns"), Some(2));
     }
 
     #[test]

@@ -1,0 +1,59 @@
+//! Byte-identity against committed golden files.
+//!
+//! The files under `tests/golden/` were written by the program before the
+//! scheduler and telemetry hot paths were flattened. Those paths must stay
+//! invisible in every deterministic artifact: the in-sim serving summary
+//! (16384 clients in 2^12-client cells, with and without mid-campaign
+//! partitions, at 1 and 2 threads) and the campaign's `--metrics` export.
+//! To regenerate after an intended behaviour change:
+//!
+//! ```text
+//! beware simserve --clients 16384 --cell-bits 12 [--partition] --out <file>
+//! beware campaign --blocks 48 --survey-blocks 12 --rounds 12 --scans 4 \
+//!     --out <dir> --metrics tests/golden/campaign_metrics.json
+//! ```
+
+use beware::bench::simserve;
+use beware::bench::SimServeCfg;
+
+fn simserve_summary(partition: bool, threads: usize) -> String {
+    let cfg =
+        SimServeCfg { clients: 16_384, cell_bits: 12, partition, threads, ..Default::default() };
+    simserve::run(&cfg).expect("valid simserve configuration").summary_json()
+}
+
+#[test]
+fn simserve_summary_matches_golden_at_every_thread_count() {
+    let golden = include_str!("golden/simserve_16k_cb12.json");
+    for threads in [1, 2] {
+        assert_eq!(simserve_summary(false, threads), golden, "threads {threads}");
+    }
+}
+
+#[test]
+fn partitioned_simserve_summary_matches_golden_at_every_thread_count() {
+    let golden = include_str!("golden/simserve_16k_cb12_partition.json");
+    for threads in [1, 2] {
+        assert_eq!(simserve_summary(true, threads), golden, "threads {threads}");
+    }
+}
+
+#[test]
+fn campaign_metrics_export_matches_golden() {
+    let dir = std::env::temp_dir().join(format!("beware-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let metrics = dir.join("metrics.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_beware"))
+        .args(["campaign", "--blocks", "48", "--survey-blocks", "12", "--rounds", "12"])
+        .args(["--scans", "4", "--metrics"])
+        .arg(&metrics)
+        .arg("--out")
+        .arg(dir.join("out"))
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("campaign runs");
+    assert!(status.success(), "campaign failed");
+    let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(json, include_str!("golden/campaign_metrics.json"));
+}
