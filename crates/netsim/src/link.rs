@@ -16,7 +16,11 @@
 //! link, no per-packet bookkeeping) and fully deterministic: no RNG, no
 //! wall clock, state advanced only by `traverse` calls in probe order.
 //! Base capacities get a seeded per-link wobble so no two access links
-//! are exactly alike.
+//! are exactly alike. A link's wobbled capacity and service time are
+//! computed once, on its first traversal, and cached beside its drain
+//! timestamp in a `Vec` of queues that an unkeyed
+//! [`beware_runtime::IntMap`] indexes by link; only links some event
+//! names rescan the schedule per traversal.
 //!
 //! Scenario events ([`LinkEvent`], the `ShiftCfg` of the link layer)
 //! degrade or partition a named link during a time window — the
@@ -26,7 +30,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use beware_runtime::rng::unit_hash;
-use std::collections::HashMap;
+use beware_runtime::IntMap;
 
 /// Identity of a shared link in the aggregation topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,31 +117,69 @@ fn link_stream(link: LinkId) -> u64 {
     }
 }
 
+/// One materialized link: its fluid queue plus the service time its
+/// wobbled capacity implies, both computed on first traversal.
+#[derive(Debug)]
+struct LinkQueue {
+    /// When the queue drains.
+    release: SimTime,
+    /// Base capacity: the tier rate with the link's seeded wobble.
+    base_pps: f64,
+    /// Service time at `base_pps`.
+    service: SimDuration,
+    /// Whether some [`LinkEvent`] names this link; only such links scan
+    /// the event schedule and recompute their service time.
+    evented: bool,
+}
+
 /// The mutable link layer of one world: lazily materialized fluid queues
 /// plus drop/backlog accounting.
 #[derive(Debug)]
 pub struct LinkLayer {
     cfg: LinkCfg,
-    /// When each link's queue drains; a link not present is idle.
-    queues: HashMap<LinkId, SimTime>,
+    /// Slot in `queues` of every link traversed so far; a link not
+    /// present is idle. The map holds only indices, so its entries stay
+    /// small and the queues sit contiguously.
+    slots: IntMap<LinkId, u32>,
+    queues: Vec<LinkQueue>,
     drops: u64,
     peak_backlog: SimDuration,
+}
+
+/// Service time of one packet at `capacity` packets/second.
+fn service_time(capacity: f64) -> SimDuration {
+    SimDuration::from_secs_f64(1.0 / capacity.max(1e-9))
+}
+
+impl LinkQueue {
+    /// An idle queue for `link`: base capacity is the tier rate with a
+    /// ±25% seeded wobble.
+    fn new(cfg: &LinkCfg, link: LinkId) -> LinkQueue {
+        let tier = match link {
+            LinkId::Access(_) => cfg.access_pps,
+            LinkId::Core(_) => cfg.core_pps,
+            LinkId::Spine(_) => cfg.spine_pps,
+        };
+        let base_pps = tier * (0.75 + 0.5 * unit_hash(cfg.seed, link_stream(link)));
+        LinkQueue {
+            release: SimTime::EPOCH,
+            base_pps,
+            service: service_time(base_pps),
+            evented: cfg.events.iter().any(|ev| ev.link == link),
+        }
+    }
 }
 
 impl LinkLayer {
     /// An idle link layer under `cfg`.
     pub fn new(cfg: LinkCfg) -> LinkLayer {
-        LinkLayer { cfg, queues: HashMap::new(), drops: 0, peak_backlog: SimDuration::from_ns(0) }
-    }
-
-    /// Base capacity of a link: the tier rate with a ±25% seeded wobble.
-    fn base_capacity(&self, link: LinkId) -> f64 {
-        let tier = match link {
-            LinkId::Access(_) => self.cfg.access_pps,
-            LinkId::Core(_) => self.cfg.core_pps,
-            LinkId::Spine(_) => self.cfg.spine_pps,
-        };
-        tier * (0.75 + 0.5 * unit_hash(self.cfg.seed, link_stream(link)))
+        LinkLayer {
+            cfg,
+            slots: IntMap::default(),
+            queues: Vec::new(),
+            drops: 0,
+            peak_backlog: SimDuration::from_ns(0),
+        }
     }
 
     /// Push one packet through `path` at `now`. Returns the extra delay
@@ -153,30 +195,39 @@ impl LinkLayer {
         let now_secs = now.as_secs_f64();
         let mut extra = SimDuration::from_ns(0);
         for &link in path {
-            let mut capacity = self.base_capacity(link);
-            for ev in &self.cfg.events {
-                if ev.link != link || !ev.active(now_secs) {
-                    continue;
-                }
-                match ev.kind {
-                    LinkEventKind::Degrade { capacity_scale } => capacity *= capacity_scale,
-                    LinkEventKind::Partition => {
-                        self.drops += 1;
-                        return None;
+            let cfg = &self.cfg;
+            let queues = &mut self.queues;
+            let slot = *self.slots.entry(link).or_insert_with(|| {
+                queues.push(LinkQueue::new(cfg, link));
+                (queues.len() - 1) as u32
+            });
+            let queue = &mut queues[slot as usize];
+            let mut service = queue.service;
+            if queue.evented {
+                let mut capacity = queue.base_pps;
+                for ev in &cfg.events {
+                    if ev.link != link || !ev.active(now_secs) {
+                        continue;
+                    }
+                    match ev.kind {
+                        LinkEventKind::Degrade { capacity_scale } => capacity *= capacity_scale,
+                        LinkEventKind::Partition => {
+                            self.drops += 1;
+                            return None;
+                        }
                     }
                 }
+                service = service_time(capacity);
             }
-            let release = self.queues.entry(link).or_insert(SimTime::EPOCH);
-            let backlog = release.saturating_since(now);
-            if backlog.as_secs_f64() > self.cfg.queue_cap_secs {
+            let backlog = queue.release.saturating_since(now);
+            if backlog.as_secs_f64() > cfg.queue_cap_secs {
                 self.drops += 1;
                 return None;
             }
             if self.peak_backlog < backlog {
                 self.peak_backlog = backlog;
             }
-            let service = SimDuration::from_secs_f64(1.0 / capacity.max(1e-9));
-            *release = (*release).max(now) + service;
+            queue.release = queue.release.max(now) + service;
             extra = extra.saturating_add(backlog).saturating_add(service);
         }
         Some(extra)

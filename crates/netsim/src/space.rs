@@ -9,7 +9,14 @@
 //! scenario's `derive_seed`/`unit_hash` streams), so a profile can be
 //! recomputed at any time and never needs to be stored. The world keeps a
 //! small `ProfileCache` purely as a speed-up — because the source is
-//! pure, the cache capacity can never change results.
+//! pure, the cache capacity can never change results. It remembers
+//! unrouted prefixes too (a cached `None`), so a sweep resolves each
+//! distinct prefix once rather than paying a trie lookup per unrouted
+//! probe.
+//!
+//! The cache and the host table are keyed by prefixes and addresses the
+//! simulator generates, so they hash with the unkeyed
+//! [`beware_runtime::IntMap`] rather than std's SipHash.
 //!
 //! # Eviction invariants
 //!
@@ -38,7 +45,8 @@ use crate::host::HostState;
 use crate::profile::BlockProfile;
 use crate::time::{SimDuration, SimTime};
 use beware_asdb::{Asn, Continent};
-use std::collections::{HashMap, VecDeque};
+use beware_runtime::IntMap;
+use std::collections::VecDeque;
 
 /// A block resolved by a [`ProfileSource`]: the behavior profile plus the
 /// routing identity the link layer aggregates on.
@@ -100,12 +108,15 @@ struct HostSlot {
 pub(crate) struct HostTable {
     cap: usize,
     quiescence: Option<SimDuration>,
-    map: HashMap<u32, HostSlot>,
+    map: IntMap<u32, HostSlot>,
     /// Probe-ordered `(last_probe, addr)` stamps; an entry is live iff it
     /// matches its slot's `last_probe` (re-probes leave stale stamps that
     /// pops and compaction discard).
     order: VecDeque<(SimTime, u32)>,
     evicted: u64,
+    /// Residency just before the latest removal, at its highest; the
+    /// table only shrinks by removals, so `max(peak, len)` is the
+    /// high-water mark.
     peak: usize,
 }
 
@@ -119,7 +130,7 @@ impl HostTable {
         HostTable {
             cap,
             quiescence,
-            map: HashMap::new(),
+            map: IntMap::default(),
             order: VecDeque::new(),
             evicted: 0,
             peak: 0,
@@ -132,7 +143,7 @@ impl HostTable {
 
     /// High-water mark of resident hosts.
     pub(crate) fn peak(&self) -> usize {
-        self.peak
+        self.peak.max(self.map.len())
     }
 
     /// Hosts reclaimed so far (capacity plus quiescence).
@@ -149,23 +160,31 @@ impl HostTable {
         make: impl FnOnce() -> HostState,
     ) -> &mut HostState {
         self.expire_quiescent(now);
-        if !self.map.contains_key(&addr) {
-            if self.map.len() >= self.cap {
-                self.evict_lru();
-            }
-            self.map.insert(addr, HostSlot { state: make(), last_probe: now });
-            self.peak = self.peak.max(self.map.len());
-        }
-        self.order.push_back((now, addr));
         // The queue holds one stale stamp per re-probe; rebuild it once it
-        // dwarfs the live set so memory stays O(resident hosts).
-        if self.order.len() > self.map.len().saturating_mul(4).max(64) {
+        // dwarfs the live set so memory stays O(resident hosts). It runs
+        // before this probe's stamp is queued, while every slot's
+        // `last_probe` still names its newest queued stamp, so compaction
+        // keeps exactly one live stamp per resident host.
+        if self.order.len() >= self.map.len().saturating_mul(4).max(64) {
             let map = &self.map;
             self.order.retain(|&(t, a)| map.get(&a).is_some_and(|s| s.last_probe == t));
         }
-        let slot = self.map.get_mut(&addr).expect("just ensured present");
+        // Only a full table needs to know whether `addr` is resident.
+        if self.map.len() >= self.cap && !self.map.contains_key(&addr) {
+            self.evict_lru();
+        }
+        self.order.push_back((now, addr));
+        let slot =
+            self.map.entry(addr).or_insert_with(|| HostSlot { state: make(), last_probe: now });
         slot.last_probe = now;
         &mut slot.state
+    }
+
+    /// Remove a host, noting the residency it had as a high-water mark.
+    fn remove(&mut self, addr: u32) {
+        self.peak = self.peak.max(self.map.len());
+        self.map.remove(&addr);
+        self.evicted += 1;
     }
 
     /// Drop hosts whose most recent probe is at least a quiescence window
@@ -178,8 +197,7 @@ impl HostTable {
             }
             self.order.pop_front();
             if self.map.get(&addr).is_some_and(|s| s.last_probe == t) {
-                self.map.remove(&addr);
-                self.evicted += 1;
+                self.remove(addr);
             }
         }
     }
@@ -188,8 +206,7 @@ impl HostTable {
     fn evict_lru(&mut self) {
         while let Some((t, addr)) = self.order.pop_front() {
             if self.map.get(&addr).is_some_and(|s| s.last_probe == t) {
-                self.map.remove(&addr);
-                self.evicted += 1;
+                self.remove(addr);
                 return;
             }
         }
@@ -197,38 +214,49 @@ impl HostTable {
     }
 }
 
-/// Bounded FIFO cache of resolved blocks. Purely a speed-up: the source
-/// is a pure function, so capacity never affects results.
+/// Bounded FIFO cache of resolutions, unrouted ones included. Purely a
+/// speed-up: the source is a pure function, so neither capacity nor
+/// caching `None` can affect results.
+///
+/// Entries live in a ring of `cap` slots; the map points each cached
+/// prefix at its slot, and a miss overwrites the oldest slot once the
+/// ring is full. A hit is one map lookup.
 #[derive(Debug)]
 pub(crate) struct ProfileCache<V> {
     cap: usize,
-    map: HashMap<u32, V>,
-    order: VecDeque<u32>,
+    map: IntMap<u32, usize>,
+    /// `(prefix24, resolution)` in insertion order, wrapping at `cap`.
+    ring: Vec<(u32, Option<V>)>,
+    /// The slot the next miss fills.
+    next: usize,
 }
 
-impl<V: Clone> ProfileCache<V> {
+impl<V> ProfileCache<V> {
     pub(crate) fn new(cap: usize) -> ProfileCache<V> {
         assert!(cap > 0, "profile cache needs room for at least one block");
-        ProfileCache { cap, map: HashMap::new(), order: VecDeque::new() }
+        ProfileCache { cap, map: IntMap::default(), ring: Vec::new(), next: 0 }
     }
 
+    /// The resolution of `prefix24`, computing it with `make` on a miss.
     pub(crate) fn get_or_insert_with(
         &mut self,
         prefix24: u32,
         make: impl FnOnce() -> Option<V>,
-    ) -> Option<V> {
-        if let Some(v) = self.map.get(&prefix24) {
-            return Some(v.clone());
+    ) -> Option<&V> {
+        if let Some(&slot) = self.map.get(&prefix24) {
+            return self.ring[slot].1.as_ref();
         }
-        let v = make()?;
-        if self.map.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
+        let slot = self.next;
+        self.next = (slot + 1) % self.cap;
+        let entry = (prefix24, make());
+        if slot < self.ring.len() {
+            self.map.remove(&self.ring[slot].0);
+            self.ring[slot] = entry;
+        } else {
+            self.ring.push(entry);
         }
-        self.map.insert(prefix24, v.clone());
-        self.order.push_back(prefix24);
-        Some(v)
+        self.map.insert(prefix24, slot);
+        self.ring[slot].1.as_ref()
     }
 }
 
@@ -301,14 +329,31 @@ mod tests {
     }
 
     #[test]
+    fn re_probed_host_survives_queue_compaction() {
+        // 65 probes of one host push the stamp queue past its compaction
+        // threshold. Compaction must keep the newest stamp, or the host
+        // has no live stamp left and can never be evicted.
+        let mut table = HostTable::bounded(1, None);
+        for i in 0..65u64 {
+            table.entry_with(9, t(i), || state(9, t(0)));
+        }
+        table.entry_with(10, t(100), || state(10, t(100)));
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.evicted(), 1);
+        assert!(table.map.contains_key(&10));
+        assert_eq!(table.peak(), 1);
+    }
+
+    #[test]
     fn profile_cache_is_bounded_and_transparent() {
         let mut cache: ProfileCache<u64> = ProfileCache::new(2);
         let calls = std::cell::Cell::new(0u32);
         let get = |c: &mut ProfileCache<u64>, k: u32| {
             c.get_or_insert_with(k, || {
                 calls.set(calls.get() + 1);
-                Some(u64::from(k) * 10)
+                (k < 90).then_some(u64::from(k) * 10)
             })
+            .copied()
         };
         assert_eq!(get(&mut cache, 1), Some(10));
         assert_eq!(get(&mut cache, 1), Some(10));
@@ -318,9 +363,11 @@ mod tests {
         // 1 was evicted (FIFO), but the recompute returns the same value.
         assert_eq!(get(&mut cache, 1), Some(10));
         assert_eq!(calls.get(), 4);
-        assert!(cache.map.len() <= 2);
-        // Unrouted lookups are not cached.
-        assert_eq!(cache.get_or_insert_with(99, || None), None);
-        assert!(!cache.map.contains_key(&99));
+        assert!(cache.map.len() <= 2 && cache.ring.len() <= 2);
+        // Unrouted lookups are cached like routed ones and share the cap.
+        assert_eq!(get(&mut cache, 99), None);
+        assert_eq!(get(&mut cache, 99), None);
+        assert_eq!(calls.get(), 5, "a cached miss is not recomputed");
+        assert!(cache.map.contains_key(&99) && cache.map.len() <= 2);
     }
 }

@@ -29,9 +29,9 @@ use crate::space::{HostTable, LazyCfg, ProfileCache, ProfileSource};
 use crate::time::{SimDuration, SimTime};
 use beware_asdb::{Asn, Continent};
 use beware_runtime::rng::derive_seed;
+use beware_runtime::IntMap;
 use beware_wire::icmp::IcmpKind;
 use rand::rngs::StdRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Counters the world keeps for reporting and tests.
@@ -127,7 +127,7 @@ impl WorldStats {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BlockEntry {
     profile: Arc<BlockProfile>,
     /// Cached [`BlockProfile::kind_index`] so the per-probe hot path
@@ -143,19 +143,47 @@ struct BlockEntry {
 /// pure resolve-on-demand source fronted by a bounded cache.
 #[derive(Debug)]
 enum Space {
-    Routed(HashMap<u32, BlockEntry>),
+    Routed(IntMap<u32, BlockEntry>),
     Procedural { source: Arc<dyn ProfileSource>, cache: ProfileCache<BlockEntry> },
+}
+
+impl Space {
+    /// The block behind a /24 prefix, resolving (and caching) it on
+    /// procedural worlds.
+    fn lookup(&mut self, prefix24: u32) -> Option<&BlockEntry> {
+        match self {
+            Space::Routed(blocks) => blocks.get(&prefix24),
+            Space::Procedural { source, cache } => cache.get_or_insert_with(prefix24, || {
+                source.resolve(prefix24).map(|r| {
+                    let kind = r.profile.kind_index();
+                    BlockEntry {
+                        profile: Arc::new(r.profile),
+                        kind,
+                        route: Some((r.asn, r.continent)),
+                    }
+                })
+            }),
+        }
+    }
+}
+
+/// Everything a probe reaches past the address space and the links: the
+/// hosts, the middlebox rng and the counters. Kept apart from [`Space`]
+/// so a probe can borrow its block while it mutates these.
+#[derive(Debug)]
+struct Edge {
+    seed: u64,
+    hosts: HostTable,
+    rng: StdRng,
+    stats: WorldStats,
 }
 
 /// The simulated address space.
 #[derive(Debug)]
 pub struct World {
-    seed: u64,
     space: Space,
-    hosts: HostTable,
     links: Option<LinkLayer>,
-    rng: StdRng,
-    stats: WorldStats,
+    edge: Edge,
 }
 
 impl Default for World {
@@ -172,12 +200,9 @@ impl World {
     /// unbounded host table.
     pub fn new(seed: u64) -> Self {
         World {
-            seed,
-            space: Space::Routed(HashMap::new()),
-            hosts: HostTable::unbounded(),
+            space: Space::Routed(IntMap::default()),
             links: None,
-            rng: seeded(derive_seed(seed, 0xF17E_AA11)),
-            stats: WorldStats::default(),
+            edge: Edge::new(seed, HostTable::unbounded()),
         }
     }
 
@@ -188,20 +213,17 @@ impl World {
     /// results — see [`crate::space`].
     pub fn procedural(seed: u64, source: Arc<dyn ProfileSource>, lazy: &LazyCfg) -> Self {
         World {
-            seed,
             space: Space::Procedural { source, cache: ProfileCache::new(lazy.profile_cache) },
-            hosts: HostTable::bounded(lazy.host_cap, lazy.quiescence),
             links: None,
-            rng: seeded(derive_seed(seed, 0xF17E_AA11)),
-            stats: WorldStats::default(),
+            edge: Edge::new(seed, HostTable::bounded(lazy.host_cap, lazy.quiescence)),
         }
     }
 
     /// Builder: bound the host table of any world (panics if hosts were
     /// already materialized — bounds are a construction-time choice).
     pub fn with_host_bounds(mut self, cap: usize, quiescence: Option<SimDuration>) -> Self {
-        assert_eq!(self.hosts.len(), 0, "host bounds must be set before the first probe");
-        self.hosts = HostTable::bounded(cap, quiescence);
+        assert_eq!(self.edge.hosts.len(), 0, "host bounds must be set before the first probe");
+        self.edge.hosts = HostTable::bounded(cap, quiescence);
         self
     }
 
@@ -232,26 +254,8 @@ impl World {
         }
     }
 
-    /// The block behind a /24 prefix, resolving (and caching) it on
-    /// procedural worlds.
-    fn lookup_block(&mut self, prefix24: u32) -> Option<BlockEntry> {
-        match &mut self.space {
-            Space::Routed(blocks) => blocks.get(&prefix24).cloned(),
-            Space::Procedural { source, cache } => cache.get_or_insert_with(prefix24, || {
-                source.resolve(prefix24).map(|r| {
-                    let kind = r.profile.kind_index();
-                    BlockEntry {
-                        profile: Arc::new(r.profile),
-                        kind,
-                        route: Some((r.asn, r.continent)),
-                    }
-                })
-            }),
-        }
-    }
-
     /// Resolve without touching the cache — for `&self` accessors; the
-    /// source is pure, so this always agrees with [`Self::lookup_block`].
+    /// source is pure, so this always agrees with [`Space::lookup`].
     fn peek_block(&self, prefix24: u32) -> Option<Arc<BlockProfile>> {
         match &self.space {
             Space::Routed(blocks) => blocks.get(&prefix24).map(|b| Arc::clone(&b.profile)),
@@ -281,15 +285,15 @@ impl World {
 
     /// Number of host state machines currently resident.
     pub fn hosts_instantiated(&self) -> usize {
-        self.hosts.len()
+        self.edge.hosts.len()
     }
 
     /// Accumulated counters, including the host-table and link-layer
     /// high-water marks.
     pub fn stats(&self) -> WorldStats {
-        let mut s = self.stats;
-        s.hosts_evicted = self.hosts.evicted();
-        s.hosts_peak = self.hosts.peak() as u64;
+        let mut s = self.edge.stats;
+        s.hosts_evicted = self.edge.hosts.evicted();
+        s.hosts_peak = self.edge.hosts.peak() as u64;
         if let Some(layer) = &self.links {
             s.link_drops = layer.drops();
             s.link_queue_peak_us = layer.peak_backlog_us();
@@ -300,17 +304,17 @@ impl World {
     /// True if `addr` hosts a live device (static property).
     pub fn is_live(&self, addr: u32) -> bool {
         match self.peek_block(addr >> 8) {
-            Some(profile) => host::is_live(self.seed, &profile, addr),
+            Some(profile) => host::is_live(self.edge.seed, &profile, addr),
             None => false,
         }
     }
 
     /// Deliver a probe; returns the arrivals it causes at the prober.
     pub fn probe(&mut self, pkt: &Packet, now: SimTime) -> Vec<Arrival> {
-        self.stats.probes += 1;
+        self.edge.stats.probes += 1;
         let prefix24 = pkt.dst >> 8;
-        let Some(entry) = self.lookup_block(prefix24) else {
-            self.stats.unrouted += 1;
+        let Some(entry) = self.space.lookup(prefix24) else {
+            self.edge.stats.unrouted += 1;
             return Vec::new();
         };
 
@@ -329,13 +333,13 @@ impl World {
             match layer.traverse(&path[..hops], now) {
                 Some(extra) => link_extra = extra,
                 None => {
-                    self.stats.no_response += 1;
+                    self.edge.stats.no_response += 1;
                     return Vec::new();
                 }
             }
         }
 
-        let mut out = self.probe_behind_links(pkt, now, &entry);
+        let mut out = self.edge.deliver(pkt, now, entry);
         if link_extra > SimDuration::from_ns(0) {
             for a in &mut out {
                 a.at += link_extra;
@@ -343,17 +347,23 @@ impl World {
         }
         out
     }
+}
+
+impl Edge {
+    fn new(seed: u64, hosts: HostTable) -> Edge {
+        Edge {
+            seed,
+            hosts,
+            rng: seeded(derive_seed(seed, 0xF17E_AA11)),
+            stats: WorldStats::default(),
+        }
+    }
 
     /// The probe → responses transfer function past the link layer:
     /// middleboxes, broadcast fan-out, and the destination host itself.
-    fn probe_behind_links(
-        &mut self,
-        pkt: &Packet,
-        now: SimTime,
-        entry: &BlockEntry,
-    ) -> Vec<Arrival> {
+    fn deliver(&mut self, pkt: &Packet, now: SimTime, entry: &BlockEntry) -> Vec<Arrival> {
         let kind = entry.kind;
-        let profile = Arc::clone(&entry.profile);
+        let profile = &*entry.profile;
 
         // A TCP-answering middlebox intercepts before the host sees it.
         if let (L4::Tcp(tcp), Some(fw)) = (&pkt.l4, &profile.firewall) {
@@ -379,7 +389,7 @@ impl World {
             let is_net =
                 bcast.network_addr_responds && beware_wire::addr::is_subnet_network(pkt.dst, hb);
             if is_bcast || is_net {
-                let out = self.broadcast_responses(pkt, now, &profile);
+                let out = self.broadcast_responses(pkt, now, profile);
                 if out.is_empty() {
                     self.stats.no_response += 1;
                 } else {
@@ -391,16 +401,16 @@ impl World {
 
         // Ordinary unicast delivery. Unicast-silent broadcast responders
         // never answer probes aimed directly at them.
-        if !host::is_live(self.seed, &profile, pkt.dst)
-            || host::broadcast_unicast_silent(self.seed, &profile, pkt.dst)
+        if !host::is_live(self.seed, profile, pkt.dst)
+            || host::broadcast_unicast_silent(self.seed, profile, pkt.dst)
         {
             self.stats.no_response += 1;
             return Vec::new();
         }
         let seed = self.seed;
         let state =
-            self.hosts.entry_with(pkt.dst, now, || HostState::new(seed, &profile, pkt.dst, now));
-        let responses = state.respond(&profile, now);
+            self.hosts.entry_with(pkt.dst, now, || HostState::new(seed, profile, pkt.dst, now));
+        let responses = state.respond(profile, now);
         let ttl = state.recv_ttl;
         let mut out = Vec::with_capacity(responses.len());
         for r in responses {
@@ -428,7 +438,7 @@ impl World {
         &mut self,
         pkt: &Packet,
         now: SimTime,
-        profile: &Arc<BlockProfile>,
+        profile: &BlockProfile,
     ) -> Vec<Arrival> {
         // Broadcast semantics only exist for ICMP echo.
         let is_echo = matches!(&pkt.l4, L4::Icmp { kind: IcmpKind::EchoRequest { .. }, .. });
@@ -895,6 +905,44 @@ mod tests {
         assert!(b.hosts_evicted > 200, "cap 8 over 254 hosts must evict continuously");
         assert!(b.hosts_peak <= 8, "peak residency respects the cap, got {}", b.hosts_peak);
         assert!(bounded.hosts_instantiated() <= 8);
+    }
+
+    /// Resolves every third prefix to a dense block, leaves the rest
+    /// unrouted, and counts resolutions per prefix.
+    #[derive(Debug, Default)]
+    struct CountingSource(std::sync::Mutex<std::collections::BTreeMap<u32, u32>>);
+
+    impl ProfileSource for CountingSource {
+        fn resolve(&self, prefix24: u32) -> Option<crate::space::ResolvedBlock> {
+            *self.0.lock().unwrap().entry(prefix24).or_insert(0) += 1;
+            prefix24.is_multiple_of(3).then(|| crate::space::ResolvedBlock {
+                profile: dense_profile(),
+                asn: Asn(64_500),
+                continent: Continent::Europe,
+            })
+        }
+
+        fn routed_blocks(&self) -> usize {
+            usize::MAX
+        }
+    }
+
+    #[test]
+    fn sweep_with_unrouted_gaps_resolves_each_prefix_once() {
+        let source = Arc::new(CountingSource::default());
+        let lazy = LazyCfg { host_cap: 16, ..LazyCfg::default() };
+        let mut world = World::procedural(3, source.clone(), &lazy);
+        for i in 0..12 * 256u32 {
+            let probe = Packet::echo_request(PROBER, 0x0a00_0000 + i, 1, i as u16, vec![]);
+            world.probe(&probe, t(f64::from(i) * 0.001));
+        }
+        let calls = source.0.lock().unwrap();
+        let prefixes: Vec<u32> = (0..12).map(|p| 0x0a_0000 + p).collect();
+        assert_eq!(calls.keys().copied().collect::<Vec<_>>(), prefixes);
+        assert!(calls.values().all(|&n| n == 1), "each prefix resolves once: {calls:?}");
+        let s = world.stats();
+        assert_eq!(s.unrouted, 8 * 256, "the 8 unrouted prefixes still count as unrouted");
+        assert!(s.responses > 0);
     }
 
     /// Degrading one shared access link inflates delay for *every* host

@@ -37,6 +37,12 @@
 //!   [`SlotReader`]s see it with a single acquire load. The serve path
 //!   uses it for oracle snapshots, the policy subsystem for published
 //!   estimator tables.
+//! * [`IntMap`] — a `HashMap` under [`IntHasher`], an unkeyed Fx-style
+//!   multiply-rotate hasher, for integer keys the simulator generates
+//!   itself: netsim's block tables, block cache, host table and link
+//!   queues. It has no secret key, so whoever picks the keys can pick
+//!   colliding ones. The serve crate therefore keeps std's keyed SipHash:
+//!   its engine's answer cache is keyed by the queries clients send.
 //!
 //! Determinism contract: under a [`VirtualClock`] every timestamp a
 //! component observes is a pure function of its inputs and seeds — no
@@ -51,6 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod hash;
 pub mod reactor;
 pub mod rng;
 pub mod swap;
@@ -59,6 +66,7 @@ mod sys;
 pub mod wheel;
 
 pub use clock::{process_cpu_time, Clock, SharedClock, VirtualClock, WallClock};
+pub use hash::{IntHasher, IntMap};
 #[cfg(target_os = "linux")]
 pub use reactor::EpollReactor;
 pub use reactor::{round_wait_up_to_ms, Event, Interest, StopSignal, Waker};

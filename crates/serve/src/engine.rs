@@ -156,9 +156,15 @@ impl ChannelPeer {
 
 /// Aggregate counters served by the `Stats` request. Shared across
 /// shards; relaxed ordering is fine for monotone counters.
+///
+/// Every query ends in exactly one outcome counter, and a `Stats` reply
+/// reports their sum as `queries`. A separate query counter, bumped
+/// before the outcome, let a reader on another shard see a query whose
+/// outcome was not yet counted.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalStats {
-    pub(crate) queries: AtomicU64,
+    /// Queries refused with `UnsupportedPercentile`.
+    pub(crate) refused: AtomicU64,
     pub(crate) hits_exact: AtomicU64,
     pub(crate) hits_fallback: AtomicU64,
     pub(crate) reports: AtomicU64,
@@ -727,7 +733,6 @@ impl Engine {
         match *msg {
             Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
                 serve.incr("queries");
-                self.stats.queries.fetch_add(1, Ordering::Relaxed);
                 if let Some(plane) = self.policy.as_mut() {
                     // Policy mode: answer from the last published
                     // estimator table. Coverage percentiles don't apply
@@ -771,9 +776,7 @@ impl Engine {
                     // reply.
                     match cached {
                         Message::Answer { status, .. } => bump_hit(&self.stats, reg, status),
-                        Message::Error { .. } => {
-                            reg.scope("serve").incr("errors_unsupported_pct");
-                        }
+                        Message::Error { .. } => bump_refused(&self.stats, reg),
                         _ => {}
                     }
                     return (cached, false);
@@ -791,7 +794,7 @@ impl Engine {
                     }
                     Err(LookupError::UnsupportedAddressPercentile(_))
                     | Err(LookupError::UnsupportedPingPercentile(_)) => {
-                        reg.scope("serve").incr("errors_unsupported_pct");
+                        bump_refused(&self.stats, reg);
                         Message::Error { code: ErrorCode::UnsupportedPercentile }
                     }
                 };
@@ -803,11 +806,14 @@ impl Engine {
             }
             Message::Stats => {
                 serve.incr("stats_requests");
+                let hits_exact = self.stats.hits_exact.load(Ordering::Relaxed);
+                let hits_fallback = self.stats.hits_fallback.load(Ordering::Relaxed);
+                let refused = self.stats.refused.load(Ordering::Relaxed);
                 (
                     Message::StatsReply {
-                        queries: self.stats.queries.load(Ordering::Relaxed),
-                        hits_exact: self.stats.hits_exact.load(Ordering::Relaxed),
-                        hits_fallback: self.stats.hits_fallback.load(Ordering::Relaxed),
+                        queries: hits_exact + hits_fallback + refused,
+                        hits_exact,
+                        hits_fallback,
                     },
                     false,
                 )
@@ -859,6 +865,11 @@ impl Engine {
             }
         }
     }
+}
+
+fn bump_refused(stats: &GlobalStats, reg: &mut Registry) {
+    stats.refused.fetch_add(1, Ordering::Relaxed);
+    reg.scope("serve").incr("errors_unsupported_pct");
 }
 
 fn bump_hit(stats: &GlobalStats, reg: &mut Registry, status: Status) {
@@ -920,6 +931,37 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(reg.counter("serve/queries"), Some(1));
+    }
+
+    #[test]
+    fn stats_count_refused_queries_and_hits_once_each() {
+        let core = EngineCore::new(test_oracle(), Arc::new(StopSignal::new()), None, None);
+        let mut engine = engine_over(&core);
+        let (server_side, peer) = channel_pair();
+        let mut conn = Conn::new(0, server_side);
+        let mut reg = Registry::new();
+        let query =
+            |addr, addr_pct_tenths| Message::Query { addr, addr_pct_tenths, ping_pct_tenths: 500 };
+        // Exact, fallback, and an unsupported level twice (fresh, then
+        // from the reply cache).
+        for msg in [query(0x0a000001, 500), query(0x0b000001, 500), query(1, 123), query(1, 123)] {
+            peer.send(&proto::encode(&msg));
+        }
+        peer.send(&proto::encode(&Message::Stats));
+        engine.service(&mut conn, &mut reg);
+        engine.flush(&mut conn, &mut reg);
+
+        let mut bytes = Vec::new();
+        peer.drain(&mut bytes);
+        let mut rest = &bytes[..];
+        let mut replies = Vec::new();
+        while let Some((msg, used)) = proto::try_decode(rest).expect("decodes") {
+            replies.push(msg);
+            rest = &rest[used..];
+        }
+        assert_eq!(replies.len(), 5);
+        assert_eq!(replies[4], Message::StatsReply { queries: 4, hits_exact: 1, hits_fallback: 1 });
+        assert_eq!(reg.counter("serve/errors_unsupported_pct"), Some(2));
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! invisible in every deterministic artifact: the in-sim serving summary
 //! (16384 clients in 2^12-client cells, with and without mid-campaign
 //! partitions, at 1 and 2 threads) and the campaign's `--metrics` export.
+//! `fullspace_20b_events.json` was written before the probe path was
+//! flattened: a 2^20-address sweep whose access links are degraded and
+//! partitioned mid-sweep, so the link layer, the block cache and host
+//! eviction all run.
 //! To regenerate after an intended behaviour change:
 //!
 //! ```text
@@ -12,9 +16,12 @@
 //! beware campaign --blocks 48 --survey-blocks 12 --rounds 12 --scans 4 \
 //!     --out <dir> --metrics tests/golden/campaign_metrics.json
 //! ```
+//!
+//! The fullspace file is `fullspace_summary(1)` below written out (the
+//! CLI takes only one `--event`).
 
-use beware::bench::simserve;
-use beware::bench::SimServeCfg;
+use beware::bench::{fullspace, simserve, FullSpaceCfg, SimServeCfg};
+use beware::netsim::{LinkEvent, LinkEventKind, LinkId};
 
 fn simserve_summary(partition: bool, threads: usize) -> String {
     let cfg =
@@ -56,4 +63,40 @@ fn campaign_metrics_export_matches_golden() {
     let json = std::fs::read_to_string(&metrics).expect("metrics file written");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(json, include_str!("golden/campaign_metrics.json"));
+}
+
+fn fullspace_summary(threads: usize) -> String {
+    let cfg = FullSpaceCfg {
+        space_bits: 20,
+        base_addr: 0x0100_0000,
+        total_blocks: 4096,
+        seed: 7,
+        threads,
+        host_cap: 256,
+        chunk_bits: 16,
+        link_events: vec![
+            LinkEvent {
+                link: LinkId::Access(0x0100),
+                at_secs: 0.0,
+                until_secs: f64::INFINITY,
+                kind: LinkEventKind::Degrade { capacity_scale: 0.5 },
+            },
+            LinkEvent {
+                link: LinkId::Access(0x0108),
+                at_secs: 5.0,
+                until_secs: 6.0,
+                kind: LinkEventKind::Partition,
+            },
+        ],
+        ..FullSpaceCfg::default()
+    };
+    fullspace::run(&cfg).expect("valid fullspace configuration").summary_json()
+}
+
+#[test]
+fn fullspace_summary_with_link_events_matches_golden_at_every_thread_count() {
+    let golden = include_str!("golden/fullspace_20b_events.json");
+    for threads in [1, 2] {
+        assert_eq!(fullspace_summary(threads), golden, "threads {threads}");
+    }
 }
