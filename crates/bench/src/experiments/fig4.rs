@@ -14,7 +14,6 @@ use beware_netsim::profile::{BlockProfile, BroadcastCfg};
 use beware_netsim::rng::Dist;
 use beware_netsim::world::World;
 use beware_probe::prelude::*;
-use std::sync::Arc;
 
 /// Outcome of the demonstration.
 #[derive(Debug, Clone)]
@@ -28,26 +27,24 @@ pub struct Fig4 {
 
 /// Run the demonstration (self-contained; does not need the shared ctx).
 pub fn run(seed: u64) -> Fig4 {
-    let mut world = World::new(seed);
-    world.add_block(
-        0x0a0a0a, // stand-in for the paper's 211.4.10.0/24
-        Arc::new(BlockProfile {
-            base_rtt: Dist::Constant(0.05),
-            jitter: Dist::Constant(0.0),
-            density: 1.0,
-            response_prob: 1.0,
-            error_prob: 0.0,
-            dup_prob: 0.0,
-            subnet_host_bits: 8,
-            broadcast: Some(BroadcastCfg {
-                responder_prob: 0.0,
-                edge_responder_prob: 1.0,
-                unicast_silent_prob: 1.0,
-                network_addr_responds: false,
-            }),
-            ..Default::default()
+    // 10.10.10.0/24 stands in for the paper's 211.4.10.0/24.
+    let profile = BlockProfile {
+        base_rtt: Dist::Constant(0.05),
+        jitter: Dist::Constant(0.0),
+        density: 1.0,
+        response_prob: 1.0,
+        error_prob: 0.0,
+        dup_prob: 0.0,
+        subnet_host_bits: 8,
+        broadcast: Some(BroadcastCfg {
+            responder_prob: 0.0,
+            edge_responder_prob: 1.0,
+            unicast_silent_prob: 1.0,
+            network_addr_responds: false,
         }),
-    );
+        ..Default::default()
+    };
+    let mut world = World::from_blocks(seed, [(0x0a0a0a, profile)]);
     let cfg = SurveyCfg { blocks: vec![0x0a0a0a], rounds: 40, seed, ..Default::default() };
     let ((records, _), _) = cfg.build(Vec::new()).run(&mut world);
     let outcome = match_unmatched(&records);

@@ -27,7 +27,7 @@
 //! which adds wall-clock, throughput and the peak-resident-host /
 //! eviction numbers that legitimately vary with configuration).
 
-use beware_netsim::link::LinkEvent;
+use beware_netsim::link::{LinkEvent, LinkEventKind};
 use beware_netsim::scenario::{Scenario, ScenarioCfg, Vantage, VANTAGES};
 use beware_netsim::space::LazyCfg;
 use beware_netsim::time::{SimDuration, SimTime};
@@ -185,6 +185,27 @@ pub fn run(cfg: &FullSpaceCfg) -> Result<FullSpaceReport, String> {
             "base {:#010x} + 2^{} runs past the end of the IPv4 space",
             cfg.base_addr, cfg.space_bits
         ));
+    }
+    if let Some(q) = cfg.quiescence_secs {
+        if !(q.is_finite() && q > 0.0) {
+            return Err(format!("--quiescence {q} must be a finite number of seconds > 0"));
+        }
+    }
+    for e in &cfg.link_events {
+        // `inf` ends a window at the end of the run; NaN ends nothing.
+        if !(e.at_secs.is_finite() && e.at_secs >= 0.0 && e.until_secs > e.at_secs) {
+            return Err(format!(
+                "--event window {}..{} must start at a finite time >= 0 and end after it starts",
+                e.at_secs, e.until_secs
+            ));
+        }
+        if let LinkEventKind::Degrade { capacity_scale } = e.kind {
+            if !(capacity_scale.is_finite() && capacity_scale > 0.0) {
+                return Err(format!(
+                    "--event degrade scale {capacity_scale} must be a finite number > 0"
+                ));
+            }
+        }
     }
     let sc = Scenario::new(ScenarioCfg {
         year: cfg.year,
@@ -409,7 +430,7 @@ fn indent(json: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beware_netsim::link::{LinkEventKind, LinkId};
+    use beware_netsim::link::LinkId;
 
     fn tiny(threads: usize, host_cap: usize) -> FullSpaceCfg {
         FullSpaceCfg {

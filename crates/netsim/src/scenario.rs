@@ -160,32 +160,21 @@ impl Scenario {
         derive_seed(self.cfg.seed, 0x0030_411d)
     }
 
-    /// Instantiate the world as seen from the scenario's vantage point.
+    /// Instantiate the world as seen from the scenario's vantage point:
+    /// [`Self::lazy_space`] behind an unbounded host table, with a
+    /// profile cache that holds every routed block, so a sweep of the
+    /// plan's blocks resolves each of them once.
     pub fn build_world(&self) -> World {
-        let mut world = World::new(self.world_seed());
-        for (block, asn) in self.plan.blocks() {
-            let info = self.plan.registry.get(asn).expect("allocated ASN is registered");
-            let profile = self.block_profile(block, asn, info.kind, info.continent);
-            world.add_block(block, Arc::new(profile));
-        }
-        world
+        let space = self.lazy_space();
+        let lazy = LazyCfg { profile_cache: space.routed_blocks().max(1), ..LazyCfg::default() };
+        World::procedural(self.world_seed(), Arc::new(space), &lazy)
     }
 
-    /// The procedural view of this scenario's address space: the same
-    /// profiles [`Self::build_world`] precomputes, resolved on demand.
-    /// Build it once and share it (`Arc`) across the per-chunk worlds of
-    /// a full-space campaign.
+    /// This scenario's address space as a [`ProfileSource`]: each block's
+    /// profile, resolved on demand. Build it once and share it (`Arc`)
+    /// across the per-chunk worlds of a full-space campaign.
     pub fn lazy_space(&self) -> ProceduralSpace {
         ProceduralSpace { scenario: self.clone(), db: self.db() }
-    }
-
-    /// Instantiate a procedural world over [`Self::lazy_space`], with
-    /// host state bounded per `lazy`. For any probe sequence it answers
-    /// byte-identically to [`Self::build_world`] (modulo host eviction
-    /// on re-probes, see [`crate::space`]) while materializing only the
-    /// blocks and hosts the sequence actually touches.
-    pub fn build_lazy_world(&self, lazy: &LazyCfg) -> World {
-        World::procedural(self.world_seed(), Arc::new(self.lazy_space()), lazy)
     }
 
     /// The link-layer configuration scenarios attach to their worlds:
@@ -380,11 +369,10 @@ impl Scenario {
 const PLAN_SEED_STREAM: u64 = 0x1a40;
 
 /// A [`ProfileSource`] over a scenario: block profiles as a pure function
-/// of the prefix, computed exactly as [`Scenario::build_world`] would —
-/// longest-prefix-match the attribution database for the announcing AS,
-/// then derive the per-block profile from the scenario seed. Because both
-/// steps are pure, a resolution can be recomputed at any time; nothing
-/// about the space ever needs to stay resident.
+/// of the prefix — longest-prefix-match the attribution database for the
+/// announcing AS, then derive the per-block profile from the scenario
+/// seed. Because both steps are pure, a resolution can be recomputed at
+/// any time; nothing about the space ever needs to stay resident.
 #[derive(Debug)]
 pub struct ProceduralSpace {
     scenario: Scenario,
@@ -395,7 +383,7 @@ impl ProfileSource for ProceduralSpace {
     fn resolve(&self, prefix24: u32) -> Option<ResolvedBlock> {
         let info = self.db.lookup(prefix24 << 8)?;
         let profile = self.scenario.block_profile(prefix24, info.asn, info.kind, info.continent);
-        Some(ResolvedBlock { profile, asn: info.asn, continent: info.continent })
+        Some(ResolvedBlock { profile, route: Some((info.asn, info.continent)) })
     }
 
     fn routed_blocks(&self) -> usize {
@@ -504,16 +492,24 @@ mod tests {
         assert_eq!(w_us.block_count(), w_jp.block_count());
     }
 
-    /// The procedural world is observationally identical to the eager
-    /// one: same routed space, same profiles, and byte-identical probe
-    /// responses over an interleaved routed + unrouted sweep.
+    /// A scenario world is observationally identical to an eager block
+    /// table of the same plan: a `from_blocks` world over every planned
+    /// block, with the profile its registered AS gives it. Same routed
+    /// space, same profiles, and byte-identical probe responses over an
+    /// interleaved routed + unrouted sweep.
     #[test]
     fn lazy_world_answers_exactly_like_the_eager_world() {
         use crate::packet::Packet;
         use crate::time::{SimDuration, SimTime};
         let sc = Scenario::new(ScenarioCfg { total_blocks: 48, ..Default::default() });
-        let mut eager = sc.build_world();
-        let mut lazy = sc.build_lazy_world(&LazyCfg::default());
+        let mut eager = World::from_blocks(
+            sc.world_seed(),
+            sc.plan.blocks().map(|(block, asn)| {
+                let info = sc.plan.registry.get(asn).expect("allocated ASN is registered");
+                (block, sc.block_profile(block, asn, info.kind, info.continent))
+            }),
+        );
+        let mut lazy = sc.build_world();
         assert_eq!(eager.block_count(), lazy.block_count());
 
         let blocks: Vec<u32> = sc.plan.blocks().map(|(b, _)| b).collect();

@@ -245,25 +245,20 @@ mod tests {
     use crate::profile::BlockProfile;
     use crate::rng::Dist;
     use crate::time::SimDuration;
-    use std::sync::Arc;
 
     const PROBER: u32 = 0x0101_0101;
 
     fn test_world() -> World {
-        let mut w = World::new(3);
-        w.add_block(
-            0x0a0000,
-            Arc::new(BlockProfile {
-                base_rtt: Dist::Constant(0.1),
-                jitter: Dist::Constant(0.0),
-                density: 1.0,
-                response_prob: 1.0,
-                error_prob: 0.0,
-                dup_prob: 0.0,
-                ..Default::default()
-            }),
-        );
-        w
+        let profile = BlockProfile {
+            base_rtt: Dist::Constant(0.1),
+            jitter: Dist::Constant(0.0),
+            density: 1.0,
+            response_prob: 1.0,
+            error_prob: 0.0,
+            dup_prob: 0.0,
+            ..Default::default()
+        };
+        World::from_blocks(3, [(0x0a0000, profile)])
     }
 
     /// Pings one address every second, records (send, recv) times.

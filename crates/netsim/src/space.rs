@@ -1,18 +1,17 @@
-//! Procedural address space: resolve-on-demand block profiles and the
-//! bounded host table that lets a full-IPv4-scale scan stream in fixed
-//! memory.
+//! The address space every [`crate::world::World`] resolves: on-demand
+//! block profiles and the bounded host table that lets a full-IPv4-scale
+//! scan stream in fixed memory.
 //!
-//! The eager [`crate::world::World`] routes blocks through an explicit
-//! table, which caps campaigns at however many `/24`s fit in memory. The
-//! procedural mode replaces the table with a [`ProfileSource`]: block
-//! identity is a **pure function** of `(campaign_seed, prefix)` (the
-//! scenario's `derive_seed`/`unit_hash` streams), so a profile can be
-//! recomputed at any time and never needs to be stored. The world keeps a
-//! small `ProfileCache` purely as a speed-up — because the source is
-//! pure, the cache capacity can never change results. It remembers
-//! unrouted prefixes too (a cached `None`), so a sweep resolves each
-//! distinct prefix once rather than paying a trie lookup per unrouted
-//! probe.
+//! A world reads its blocks from a [`ProfileSource`]. Block identity is a
+//! **pure function** of the prefix — for a scenario, of `(campaign_seed,
+//! prefix)` through its `derive_seed`/`unit_hash` streams; for a
+//! hand-built world, of its fixed block list — so a profile can be
+//! recomputed at any time and never needs to stay resident. The world
+//! keeps a bounded `ProfileCache` purely as a speed-up — because the
+//! source is pure, the cache capacity can never change results. It
+//! remembers unrouted prefixes too (a cached `None`), so a sweep resolves
+//! each distinct prefix once rather than paying a trie lookup per
+//! unrouted probe.
 //!
 //! The cache and the host table are keyed by prefixes and addresses the
 //! simulator generates, so they hash with the unkeyed
@@ -54,10 +53,11 @@ use std::collections::VecDeque;
 pub struct ResolvedBlock {
     /// Behavior profile of the `/24`.
     pub profile: BlockProfile,
-    /// Announcing AS — the shared aggregation link's identity.
-    pub asn: Asn,
-    /// Continent — the shared spine link's identity.
-    pub continent: Continent,
+    /// Announcing AS and continent — the identities of the shared core
+    /// and spine links a probe crosses after its access (`/16`) link.
+    /// `None` for a block with no routing identity, whose probes cross
+    /// only the access link.
+    pub route: Option<(Asn, Continent)>,
 }
 
 /// A pure function from `/24` prefix to block behavior.
@@ -74,7 +74,7 @@ pub trait ProfileSource: Send + Sync + std::fmt::Debug {
     fn routed_blocks(&self) -> usize;
 }
 
-/// Bounds for lazily materialized state in a procedural world.
+/// Bounds for lazily materialized state in a world.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LazyCfg {
     /// Maximum resident host state machines; the least-recently-probed
@@ -121,10 +121,6 @@ pub(crate) struct HostTable {
 }
 
 impl HostTable {
-    pub(crate) fn unbounded() -> HostTable {
-        HostTable::bounded(usize::MAX, None)
-    }
-
     pub(crate) fn bounded(cap: usize, quiescence: Option<SimDuration>) -> HostTable {
         assert!(cap > 0, "host table needs room for at least one host");
         HostTable {

@@ -6,16 +6,15 @@
 //! All host state advances lazily on access, which is what lets a scan of a
 //! million addresses run without a million timer events.
 //!
-//! Two address-space backings share this transfer function:
+//! Every world resolves its address space the same way: blocks come on
+//! demand from a pure [`ProfileSource`] through a bounded profile cache,
+//! and host state is bounded by [`LazyCfg`], which is what lets a
+//! full-IPv4-scale sweep stream in fixed memory (see [`crate::space`] for
+//! the eviction invariants). [`World::procedural`] takes any source;
+//! [`World::from_blocks`] wraps an explicit list of blocks in one, the
+//! right tool for small scripted worlds.
 //!
-//! * **routed** ([`World::new`] + [`World::add_block`]) — an explicit
-//!   block table, the right tool for small scripted worlds;
-//! * **procedural** ([`World::procedural`]) — blocks resolved on demand
-//!   from a pure [`ProfileSource`], with host state bounded by
-//!   [`LazyCfg`], which is what lets a full-IPv4-scale sweep stream in
-//!   fixed memory (see [`crate::space`] for the eviction invariants).
-//!
-//! Either backing can additionally route probes through a shared
+//! A world can additionally route probes through a shared
 //! [`crate::link::LinkLayer`] ([`World::with_links`]): prefixes then share
 //! queues, and congestion or a scenario-scheduled degrade on one uplink
 //! shows up as *correlated* extra delay across every host behind it.
@@ -25,7 +24,7 @@ use crate::link::{LinkCfg, LinkId, LinkLayer};
 use crate::packet::{Arrival, Packet, L4};
 use crate::profile::{BlockProfile, PROFILE_KINDS};
 use crate::rng::seeded;
-use crate::space::{HostTable, LazyCfg, ProfileCache, ProfileSource};
+use crate::space::{HostTable, LazyCfg, ProfileCache, ProfileSource, ResolvedBlock};
 use crate::time::{SimDuration, SimTime};
 use beware_asdb::{Asn, Continent};
 use beware_runtime::rng::derive_seed;
@@ -134,36 +133,63 @@ struct BlockEntry {
     /// never re-derives it.
     kind: usize,
     /// Routing identity `(AS, continent)` when known — what the link
-    /// layer aggregates core and spine queues on. Explicitly added blocks
-    /// carry `None` and only share their access (`/16`) link.
+    /// layer aggregates core and spine queues on (see
+    /// [`ResolvedBlock::route`]).
     route: Option<(Asn, Continent)>,
 }
 
-/// How the world backs its address space: an explicit block table, or a
-/// pure resolve-on-demand source fronted by a bounded cache.
+/// The world's address space: a pure resolve-on-demand source fronted by
+/// a bounded cache.
 #[derive(Debug)]
-enum Space {
-    Routed(IntMap<u32, BlockEntry>),
-    Procedural { source: Arc<dyn ProfileSource>, cache: ProfileCache<BlockEntry> },
+struct Space {
+    source: Arc<dyn ProfileSource>,
+    cache: ProfileCache<BlockEntry>,
 }
 
 impl Space {
-    /// The block behind a /24 prefix, resolving (and caching) it on
-    /// procedural worlds.
+    /// The block behind a /24 prefix, resolving (and caching) it on a
+    /// miss.
     fn lookup(&mut self, prefix24: u32) -> Option<&BlockEntry> {
-        match self {
-            Space::Routed(blocks) => blocks.get(&prefix24),
-            Space::Procedural { source, cache } => cache.get_or_insert_with(prefix24, || {
-                source.resolve(prefix24).map(|r| {
-                    let kind = r.profile.kind_index();
-                    BlockEntry {
-                        profile: Arc::new(r.profile),
-                        kind,
-                        route: Some((r.asn, r.continent)),
-                    }
-                })
-            }),
+        let Space { source, cache } = self;
+        cache.get_or_insert_with(prefix24, || {
+            source.resolve(prefix24).map(|r| BlockEntry {
+                kind: r.profile.kind_index(),
+                profile: Arc::new(r.profile),
+                route: r.route,
+            })
+        })
+    }
+}
+
+/// The [`ProfileSource`] behind [`World::from_blocks`]: an explicit table
+/// of validated profiles, without routing identity.
+#[derive(Debug)]
+struct BlockTable(IntMap<u32, BlockProfile>);
+
+impl BlockTable {
+    /// Panics on an invalid profile — scenario bugs should fail at build
+    /// time, not during a multi-hour run. A repeated prefix keeps its
+    /// last profile.
+    fn new(blocks: impl IntoIterator<Item = (u32, BlockProfile)>) -> BlockTable {
+        let mut table = IntMap::default();
+        for (prefix24, profile) in blocks {
+            if let Err(e) = profile.validate() {
+                panic!("invalid BlockProfile for block {prefix24:#08x}: {e}");
+            }
+            table.insert(prefix24, profile);
         }
+        BlockTable(table)
+    }
+}
+
+impl ProfileSource for BlockTable {
+    fn resolve(&self, prefix24: u32) -> Option<ResolvedBlock> {
+        let profile = self.0.get(&prefix24)?.clone();
+        Some(ResolvedBlock { profile, route: None })
+    }
+
+    fn routed_blocks(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -196,35 +222,34 @@ impl Default for World {
 }
 
 impl World {
-    /// An empty routed world with the given determinism seed and an
-    /// unbounded host table.
+    /// An empty world with the given determinism seed: every probe falls
+    /// on unrouted space.
     pub fn new(seed: u64) -> Self {
-        World {
-            space: Space::Routed(IntMap::default()),
-            links: None,
-            edge: Edge::new(seed, HostTable::unbounded()),
-        }
+        World::from_blocks(seed, [])
     }
 
-    /// A procedural world: blocks resolved on demand from `source`, host
+    /// A world routing exactly `blocks` — `(prefix24, profile)` pairs,
+    /// where `prefix24` is `addr >> 8` — with an unbounded host table.
+    /// Panics on an invalid profile, at construction rather than on the
+    /// first probe. The blocks carry no routing identity, so with links
+    /// attached a probe crosses only its access (`/16`) link.
+    pub fn from_blocks(seed: u64, blocks: impl IntoIterator<Item = (u32, BlockProfile)>) -> Self {
+        let table = BlockTable::new(blocks);
+        let lazy = LazyCfg { profile_cache: table.routed_blocks().max(1), ..LazyCfg::default() };
+        World::procedural(seed, Arc::new(table), &lazy)
+    }
+
+    /// A world whose blocks are resolved on demand from `source`, host
     /// state bounded per `lazy`. Because the source is a pure function of
     /// the prefix, neither the profile-cache capacity nor (for workloads
     /// that probe each address at most once) the host bounds can change
     /// results — see [`crate::space`].
     pub fn procedural(seed: u64, source: Arc<dyn ProfileSource>, lazy: &LazyCfg) -> Self {
         World {
-            space: Space::Procedural { source, cache: ProfileCache::new(lazy.profile_cache) },
+            space: Space { source, cache: ProfileCache::new(lazy.profile_cache) },
             links: None,
             edge: Edge::new(seed, HostTable::bounded(lazy.host_cap, lazy.quiescence)),
         }
-    }
-
-    /// Builder: bound the host table of any world (panics if hosts were
-    /// already materialized — bounds are a construction-time choice).
-    pub fn with_host_bounds(mut self, cap: usize, quiescence: Option<SimDuration>) -> Self {
-        assert_eq!(self.edge.hosts.len(), 0, "host bounds must be set before the first probe");
-        self.edge.hosts = HostTable::bounded(cap, quiescence);
-        self
     }
 
     /// Builder: route probes through a shared link layer, so prefixes
@@ -235,52 +260,20 @@ impl World {
         self
     }
 
-    /// Route a /24 block (identified by `addr >> 8`) with the given
-    /// behavior. Panics on an invalid profile — scenario bugs should fail
-    /// at build time, not during a multi-hour run — and on procedural
-    /// worlds, whose space is defined by their source alone.
-    pub fn add_block(&mut self, prefix24: u32, profile: Arc<BlockProfile>) {
-        if let Err(e) = profile.validate() {
-            panic!("invalid BlockProfile for block {prefix24:#08x}: {e}");
-        }
-        let kind = profile.kind_index();
-        match &mut self.space {
-            Space::Routed(blocks) => {
-                blocks.insert(prefix24, BlockEntry { profile, kind, route: None });
-            }
-            Space::Procedural { .. } => {
-                panic!("add_block on a procedural world: its source defines the space")
-            }
-        }
-    }
-
-    /// Resolve without touching the cache — for `&self` accessors; the
-    /// source is pure, so this always agrees with [`Space::lookup`].
-    fn peek_block(&self, prefix24: u32) -> Option<Arc<BlockProfile>> {
-        match &self.space {
-            Space::Routed(blocks) => blocks.get(&prefix24).map(|b| Arc::clone(&b.profile)),
-            Space::Procedural { source, .. } => {
-                source.resolve(prefix24).map(|r| Arc::new(r.profile))
-            }
-        }
-    }
-
     /// Whether a /24 block is routed.
     pub fn has_block(&self, prefix24: u32) -> bool {
-        self.peek_block(prefix24).is_some()
+        self.block_profile(prefix24).is_some()
     }
 
-    /// Profile of a routed block.
+    /// Profile of a routed block. Resolved without touching the cache:
+    /// the source is pure, so this always agrees with what a probe sees.
     pub fn block_profile(&self, prefix24: u32) -> Option<Arc<BlockProfile>> {
-        self.peek_block(prefix24)
+        self.space.source.resolve(prefix24).map(|r| Arc::new(r.profile))
     }
 
     /// Number of routed blocks.
     pub fn block_count(&self) -> usize {
-        match &self.space {
-            Space::Routed(blocks) => blocks.len(),
-            Space::Procedural { source, .. } => source.routed_blocks(),
-        }
+        self.space.source.routed_blocks()
     }
 
     /// Number of host state machines currently resident.
@@ -303,10 +296,7 @@ impl World {
 
     /// True if `addr` hosts a live device (static property).
     pub fn is_live(&self, addr: u32) -> bool {
-        match self.peek_block(addr >> 8) {
-            Some(profile) => host::is_live(self.edge.seed, &profile, addr),
-            None => false,
-        }
+        self.block_profile(addr >> 8).is_some_and(|p| host::is_live(self.edge.seed, &p, addr))
     }
 
     /// Deliver a probe; returns the arrivals it causes at the prober.
@@ -575,9 +565,7 @@ mod tests {
     }
 
     fn world_with(profile: BlockProfile) -> World {
-        let mut w = World::new(7);
-        w.add_block(0x0a0000, Arc::new(profile));
-        w
+        World::from_blocks(7, [(0x0a0000, profile)])
     }
 
     #[test]
@@ -598,6 +586,27 @@ mod tests {
             _ => panic!("expected icmp"),
         }
         assert_eq!(w.stats().responses, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid BlockProfile for block 0x0a0001")]
+    fn from_blocks_rejects_an_invalid_profile_at_construction() {
+        let bad = BlockProfile { density: 1.5, ..dense_profile() };
+        World::from_blocks(7, [(0x0a0000, dense_profile()), (0x0a0001, bad)]);
+    }
+
+    #[test]
+    fn an_empty_world_routes_nothing() {
+        let mut w = World::new(7);
+        assert_eq!(w.block_count(), 0);
+        assert!(!w.has_block(0x0a0000) && !w.is_live(0x0a000010));
+        for dst in [0x0a000010u32, 0, u32::MAX] {
+            let probe = Packet::echo_request(PROBER, dst, 9, 1, vec![]);
+            assert!(w.probe(&probe, t(1.0)).is_empty(), "{dst:#010x}");
+        }
+        let s = w.stats();
+        assert_eq!((s.probes, s.unrouted, s.responses), (3, 3, 0));
+        assert_eq!(w.hosts_instantiated(), 0);
     }
 
     #[test]
@@ -896,7 +905,9 @@ mod tests {
         };
         let profile = BlockProfile { jitter: Dist::Exponential { mean: 0.02 }, ..dense_profile() };
         let mut unbounded = world_with(profile.clone());
-        let mut bounded = world_with(profile).with_host_bounds(8, None);
+        let table = Arc::new(BlockTable::new([(0x0a0000, profile)]));
+        let mut bounded =
+            World::procedural(7, table, &LazyCfg { host_cap: 8, ..LazyCfg::default() });
 
         assert_eq!(sweep(&mut unbounded), sweep(&mut bounded));
         let (u, b) = (unbounded.stats(), bounded.stats());
@@ -913,12 +924,11 @@ mod tests {
     struct CountingSource(std::sync::Mutex<std::collections::BTreeMap<u32, u32>>);
 
     impl ProfileSource for CountingSource {
-        fn resolve(&self, prefix24: u32) -> Option<crate::space::ResolvedBlock> {
+        fn resolve(&self, prefix24: u32) -> Option<ResolvedBlock> {
             *self.0.lock().unwrap().entry(prefix24).or_insert(0) += 1;
-            prefix24.is_multiple_of(3).then(|| crate::space::ResolvedBlock {
+            prefix24.is_multiple_of(3).then(|| ResolvedBlock {
                 profile: dense_profile(),
-                asn: Asn(64_500),
-                continent: Continent::Europe,
+                route: Some((Asn(64_500), Continent::Europe)),
             })
         }
 
@@ -960,9 +970,9 @@ mod tests {
             }],
             ..LinkCfg::default()
         };
-        let mut w = World::new(7).with_links(cfg);
-        w.add_block(0x0a0000, Arc::new(dense_profile()));
-        w.add_block(0x0b0000, Arc::new(dense_profile()));
+        let mut w =
+            World::from_blocks(7, [(0x0a0000, dense_profile()), (0x0b0000, dense_profile())])
+                .with_links(cfg);
 
         let rtt = |w: &mut World, addr: u32, at: SimTime| -> f64 {
             let probe = Packet::echo_request(PROBER, addr, 1, 1, vec![]);

@@ -12,7 +12,6 @@ use beware_runtime::rng::{derive_seed, unit_hash};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// The event loop netsim carried until PR 10, kept verbatim as the
 /// reference model: a binary heap keyed `(time, sequence)` with
@@ -189,8 +188,7 @@ proptest! {
         octets in proptest::collection::vec(any::<u8>(), 1..40),
     ) {
         let run = || {
-            let mut w = World::new(seed);
-            w.add_block(0x0a0000, Arc::new(BlockProfile::default()));
+            let mut w = World::from_blocks(seed, [(0x0a0000, BlockProfile::default())]);
             let mut out = Vec::new();
             for (i, &o) in octets.iter().enumerate() {
                 let probe = Packet::echo_request(1, 0x0a000000 | u32::from(o), 7, i as u16, vec![]);

@@ -28,7 +28,6 @@ use beware_netsim::World;
 use beware_probe::prelude::*;
 use beware_runtime::rng::{derive_seed, unit_hash};
 use beware_telemetry::Registry;
-use std::sync::Arc;
 
 /// Which regime a scenario exercises.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,11 +163,11 @@ impl Scenario {
     /// Run the campaign: a survey with a ground-truth-wide match window
     /// (90% of the round), records in canonical replay order.
     pub fn run(&self, metrics: &mut Registry) -> Vec<Record> {
-        let mut world = World::new(derive_seed(self.seed, 0x77));
         let blocks: Vec<u32> = (0..self.blocks).map(|i| 0x0a0000 + i).collect();
-        for &b in &blocks {
-            world.add_block(b, Arc::new(self.profile(b - 0x0a0000)));
-        }
+        let mut world = World::from_blocks(
+            derive_seed(self.seed, 0x77),
+            blocks.iter().map(|&b| (b, self.profile(b - 0x0a0000))),
+        );
         let cfg = SurveyCfg {
             blocks,
             rounds: self.rounds,

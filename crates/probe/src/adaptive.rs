@@ -273,7 +273,6 @@ mod tests {
     use beware_netsim::rng::Dist;
     use beware_netsim::sim::RunSummary;
     use beware_netsim::world::World;
-    use std::sync::Arc;
 
     /// Test driver over the unified API.
     fn monitor(
@@ -297,9 +296,7 @@ mod tests {
     }
 
     fn world(profile: BlockProfile) -> World {
-        let mut w = World::new(31);
-        w.add_block(0x0a0000, Arc::new(profile));
-        w
+        World::from_blocks(31, [(0x0a0000, profile)])
     }
 
     #[test]
@@ -389,9 +386,10 @@ mod tests {
 
     #[test]
     fn telemetry_mirrors_reports() {
-        let mut w = World::new(31);
-        w.add_block(0x0a0000, Arc::new(quiet()));
-        w.add_block(0x0a0001, Arc::new(BlockProfile { density: 0.0, ..quiet() }));
+        let mut w = World::from_blocks(
+            31,
+            [(0x0a0000, quiet()), (0x0a0001, BlockProfile { density: 0.0, ..quiet() })],
+        );
         let mut metrics = beware_telemetry::Registry::new();
         let (reports, _) = AdaptiveCfg { cycles: 3, ..Default::default() }
             .build(vec![0x0a000005, 0x0a000105])
@@ -405,9 +403,10 @@ mod tests {
 
     #[test]
     fn multiple_targets_tracked_independently() {
-        let mut w = World::new(31);
-        w.add_block(0x0a0000, Arc::new(quiet()));
-        w.add_block(0x0a0001, Arc::new(BlockProfile { density: 0.0, ..quiet() }));
+        let w = World::from_blocks(
+            31,
+            [(0x0a0000, quiet()), (0x0a0001, BlockProfile { density: 0.0, ..quiet() })],
+        );
         let (reports, _) = monitor(
             w,
             vec![0x0a000005, 0x0a000105],

@@ -223,7 +223,6 @@ mod tests {
     use beware_netsim::rng::Dist;
     use beware_netsim::sim::RunSummary;
     use beware_netsim::world::World;
-    use std::sync::Arc;
 
     /// Test driver over the unified API.
     fn census(mut world: World, cfg: CensusCfg) -> (CensusResult, RunSummary) {
@@ -231,23 +230,17 @@ mod tests {
     }
 
     fn world() -> World {
-        let mut w = World::new(77);
         // A dense block, a sparse block, and a dead block.
-        let mk = |density: f64| {
-            Arc::new(BlockProfile {
-                base_rtt: Dist::Constant(0.05),
-                jitter: Dist::Constant(0.0),
-                density,
-                response_prob: 1.0,
-                error_prob: 0.0,
-                dup_prob: 0.0,
-                ..Default::default()
-            })
+        let mk = |density: f64| BlockProfile {
+            base_rtt: Dist::Constant(0.05),
+            jitter: Dist::Constant(0.0),
+            density,
+            response_prob: 1.0,
+            error_prob: 0.0,
+            dup_prob: 0.0,
+            ..Default::default()
         };
-        w.add_block(0x0a0000, mk(1.0));
-        w.add_block(0x0a0001, mk(0.3));
-        w.add_block(0x0a0002, mk(0.0));
-        w
+        World::from_blocks(77, [(0x0a0000, mk(1.0)), (0x0a0001, mk(0.3)), (0x0a0002, mk(0.0))])
     }
 
     fn cfg(blocks: Vec<u32>) -> CensusCfg {

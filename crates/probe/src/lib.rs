@@ -59,10 +59,8 @@ use beware_netsim::world::World;
 /// ```
 /// use beware_probe::prelude::*;
 /// use beware_netsim::{BlockProfile, World};
-/// use std::sync::Arc;
 ///
-/// let mut world = World::new(1);
-/// world.add_block(0x0a0000, Arc::new(BlockProfile::default()));
+/// let mut world = World::from_blocks(1, [(0x0a0000, BlockProfile::default())]);
 /// let cfg = SurveyCfg { blocks: vec![0x0a0000], rounds: 1, ..Default::default() };
 /// let mut metrics = Registry::new();
 /// let ((records, stats), summary) =

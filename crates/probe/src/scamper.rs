@@ -380,7 +380,6 @@ mod tests {
     use beware_netsim::rng::Dist;
     use beware_netsim::sim::RunSummary;
     use beware_netsim::world::World;
-    use std::sync::Arc;
 
     const PROBER: u32 = 0x0101_0101;
 
@@ -407,9 +406,7 @@ mod tests {
     }
 
     fn world(profile: BlockProfile) -> World {
-        let mut w = World::new(21);
-        w.add_block(0x0a0000, Arc::new(profile));
-        w
+        World::from_blocks(21, [(0x0a0000, profile)])
     }
 
     #[test]

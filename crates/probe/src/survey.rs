@@ -289,7 +289,6 @@ mod tests {
     use beware_netsim::rng::Dist;
     use beware_netsim::sim::RunSummary;
     use beware_netsim::world::World;
-    use std::sync::Arc;
 
     /// Test driver over the unified API, collecting records in memory.
     fn survey(mut world: World, cfg: SurveyCfg) -> (Vec<Record>, SurveyStats, RunSummary) {
@@ -310,9 +309,7 @@ mod tests {
     }
 
     fn one_block_world(profile: BlockProfile) -> World {
-        let mut w = World::new(11);
-        w.add_block(0x0a0000, Arc::new(profile));
-        w
+        World::from_blocks(11, [(0x0a0000, profile)])
     }
 
     fn cfg(rounds: u32) -> SurveyCfg {

@@ -211,7 +211,6 @@ mod tests {
     use beware_netsim::rng::Dist;
     use beware_netsim::sim::RunSummary;
     use beware_netsim::world::World;
-    use std::sync::Arc;
 
     /// Test driver over the unified API.
     fn scan(mut world: World, cfg: ZmapCfg) -> (ZmapScan, RunSummary) {
@@ -240,9 +239,7 @@ mod tests {
 
     #[test]
     fn scan_covers_every_live_address_once() {
-        let mut w = World::new(5);
-        w.add_block(0x0a0000, Arc::new(quiet_profile()));
-        w.add_block(0x0a0001, Arc::new(quiet_profile()));
+        let w = World::from_blocks(5, [(0x0a0000, quiet_profile()), (0x0a0001, quiet_profile())]);
         let (scan, summary) = scan(w, cfg(vec![0x0a0000, 0x0a0001]));
         assert_eq!(summary.packets_sent, 512);
         // 254 live per block (bcast/network dead, no broadcast cfg).
@@ -256,19 +253,16 @@ mod tests {
 
     #[test]
     fn broadcast_responders_show_cross_address_records() {
-        let mut w = World::new(5);
-        w.add_block(
-            0x0a0000,
-            Arc::new(BlockProfile {
-                broadcast: Some(BroadcastCfg {
-                    responder_prob: 1.0,
-                    edge_responder_prob: 1.0,
-                    unicast_silent_prob: 0.0,
-                    network_addr_responds: true,
-                }),
-                ..quiet_profile()
+        let profile = BlockProfile {
+            broadcast: Some(BroadcastCfg {
+                responder_prob: 1.0,
+                edge_responder_prob: 1.0,
+                unicast_silent_prob: 0.0,
+                network_addr_responds: true,
             }),
-        );
+            ..quiet_profile()
+        };
+        let w = World::from_blocks(5, [(0x0a0000, profile)]);
         let (scan, _) = scan(w, cfg(vec![0x0a0000]));
         let cross: Vec<_> = scan.cross_address_records().collect();
         // Probing .255 and .0 each triggered 254 neighbor replies.
@@ -279,9 +273,7 @@ mod tests {
 
     #[test]
     fn blocklist_excludes_covered_addresses() {
-        let mut w = World::new(5);
-        w.add_block(0x0a0000, Arc::new(quiet_profile()));
-        w.add_block(0x0a0001, Arc::new(quiet_profile()));
+        let w = World::from_blocks(5, [(0x0a0000, quiet_profile()), (0x0a0001, quiet_profile())]);
         // Exclude the entire second block plus half of the first.
         let cfg = ZmapCfg {
             exclude: vec![(0x0a000100, 24), (0x0a000080, 25)],
@@ -301,8 +293,7 @@ mod tests {
     #[test]
     fn scan_is_deterministic() {
         let run = || {
-            let mut w = World::new(5);
-            w.add_block(0x0a0000, Arc::new(quiet_profile()));
+            let w = World::from_blocks(5, [(0x0a0000, quiet_profile())]);
             let (scan, _) = scan(w, cfg(vec![0x0a0000]));
             scan.records
         };
@@ -311,8 +302,8 @@ mod tests {
 
     #[test]
     fn pacing_spreads_sends_over_duration() {
-        let mut w = World::new(5);
-        w.add_block(0x0a0000, Arc::new(BlockProfile { density: 0.0, ..quiet_profile() }));
+        let w =
+            World::from_blocks(5, [(0x0a0000, BlockProfile { density: 0.0, ..quiet_profile() })]);
         let (_, summary) = scan(w, cfg(vec![0x0a0000]));
         // End time ≈ duration + cooldown.
         let end = summary.end_time.as_secs_f64();
@@ -321,8 +312,7 @@ mod tests {
 
     #[test]
     fn telemetry_mirrors_scan_counts() {
-        let mut w = World::new(5);
-        w.add_block(0x0a0000, Arc::new(quiet_profile()));
+        let mut w = World::from_blocks(5, [(0x0a0000, quiet_profile())]);
         let mut metrics = beware_telemetry::Registry::new();
         let (scan, summary) = cfg(vec![0x0a0000]).build(meta()).run_with(&mut w, &mut metrics);
         assert_eq!(metrics.counter("probe/zmap/probes_sent"), Some(summary.packets_sent));
@@ -333,10 +323,9 @@ mod tests {
 
     #[test]
     fn slow_responders_caught_within_cooldown() {
-        let mut w = World::new(5);
-        w.add_block(
-            0x0a0000,
-            Arc::new(BlockProfile { base_rtt: Dist::Constant(20.0), ..quiet_profile() }),
+        let w = World::from_blocks(
+            5,
+            [(0x0a0000, BlockProfile { base_rtt: Dist::Constant(20.0), ..quiet_profile() })],
         );
         let (scan, _) = scan(w, cfg(vec![0x0a0000]));
         assert_eq!(scan.response_count(), 254);

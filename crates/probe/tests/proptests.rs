@@ -9,7 +9,6 @@ use beware_probe::bitrev8;
 use beware_probe::permutation::CyclicPermutation;
 use beware_probe::prelude::*;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -39,8 +38,7 @@ proptest! {
 
     #[test]
     fn survey_record_count_conservation(density in 0.0f64..=1.0, rounds in 1u32..4, seed in any::<u64>()) {
-        let mut w = World::new(seed);
-        w.add_block(0x0a0000, Arc::new(BlockProfile {
+        let profile = BlockProfile {
             base_rtt: Dist::Constant(0.05),
             jitter: Dist::Constant(0.0),
             density,
@@ -48,7 +46,8 @@ proptest! {
             error_prob: 0.0,
             dup_prob: 0.0,
             ..Default::default()
-        }));
+        };
+        let mut w = World::from_blocks(seed, [(0x0a0000, profile)]);
         let cfg = SurveyCfg { blocks: vec![0x0a0000], rounds, seed, ..Default::default() };
         let ((_, stats), summary) = cfg.build(Vec::new()).run(&mut w);
         // Every probe becomes exactly one record: matched, timeout or error.
@@ -60,8 +59,7 @@ proptest! {
 
     #[test]
     fn scamper_results_aligned_with_jobs(counts in proptest::collection::vec(1usize..12, 1..8), seed in any::<u64>()) {
-        let mut w = World::new(seed);
-        w.add_block(0x0a0000, Arc::new(BlockProfile {
+        let profile = BlockProfile {
             base_rtt: Dist::Constant(0.05),
             jitter: Dist::Constant(0.0),
             density: 1.0,
@@ -69,7 +67,8 @@ proptest! {
             error_prob: 0.0,
             dup_prob: 0.0,
             ..Default::default()
-        }));
+        };
+        let mut w = World::from_blocks(seed, [(0x0a0000, profile)]);
         let jobs: Vec<PingJob> = counts
             .iter()
             .enumerate()

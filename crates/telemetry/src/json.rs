@@ -313,7 +313,7 @@ mod tests {
         s.observe("rtt_us", 0);
         s.observe("rtt_us", 900);
         s.observe("rtt_us", 70_000);
-        reg.scope("bench").record_wall_secs("build", 0.25);
+        reg.scope("walltime").scope("bench").add("build_ns", 250_000_000);
         reg
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Hierarchical, deterministic telemetry for the beware stack: counters,
 //! max-gauges and log-bucketed histograms behind a [`Registry`]/[`Scope`]
-//! API, plus wall-clock span timers that stay out of the deterministic
-//! export.
+//! API. Wall-clock measurements are recorded under their own `walltime/`
+//! family, which stays out of the deterministic export.
 //!
 //! Design constraints (see DESIGN.md §7 for the full contract):
 //!
@@ -33,7 +33,6 @@
 
 mod json;
 
-use beware_runtime::clock::SharedClock;
 use std::collections::BTreeMap;
 
 /// Family prefix for wall-clock measurements. Metrics under this prefix
@@ -208,36 +207,18 @@ impl Metric {
 pub struct Registry {
     enabled: bool,
     metrics: BTreeMap<String, Metric>,
-    /// Time source for [`Scope::time`]. `None` means real time
-    /// ([`std::time::Instant`]); tests inject a
-    /// `beware_runtime::VirtualClock` to make the `walltime/` family
-    /// deterministic. The clock never affects the JSON export either way
-    /// — `walltime/` stays excluded (see [`WALLTIME_FAMILY`]).
-    clock: Option<SharedClock>,
 }
 
 impl Registry {
     /// An enabled, empty registry.
     pub fn new() -> Self {
-        Registry { enabled: true, metrics: BTreeMap::new(), clock: None }
+        Registry { enabled: true, metrics: BTreeMap::new() }
     }
 
     /// A disabled registry: every recording call is a no-op costing one
     /// branch; merge/export see an empty registry.
     pub fn disabled() -> Self {
-        Registry { enabled: false, metrics: BTreeMap::new(), clock: None }
-    }
-
-    /// An enabled registry whose [`Scope::time`] spans are measured on
-    /// `clock` instead of the wall — the seam that makes the `walltime/`
-    /// family testable under a virtual clock.
-    pub fn with_clock(clock: SharedClock) -> Self {
-        Registry { enabled: true, metrics: BTreeMap::new(), clock: Some(clock) }
-    }
-
-    /// Install (or replace) the span-timer clock on an existing registry.
-    pub fn set_clock(&mut self, clock: SharedClock) {
-        self.clock = Some(clock);
+        Registry { enabled: false, metrics: BTreeMap::new() }
     }
 
     /// Whether recording is live.
@@ -453,14 +434,9 @@ impl Scope<'_> {
 
     /// `prefix/name`, or `name` under an empty prefix.
     fn full(&self, name: &str) -> Name {
-        self.family(name, "", "")
-    }
-
-    /// `family` + `prefix/name` + `suffix`.
-    fn family(&self, name: &str, family: &str, suffix: &str) -> Name {
         match self.prefix.as_str() {
-            "" => Name::join(&[family, name, suffix]),
-            prefix => Name::join(&[family, prefix, "/", name, suffix]),
+            "" => Name::join(&[name]),
+            prefix => Name::join(&[prefix, "/", name]),
         }
     }
 
@@ -491,43 +467,6 @@ impl Scope<'_> {
             return;
         }
         self.reg.observe(self.full(name).as_str(), value);
-    }
-
-    /// Time `f` on the registry's clock (the wall by default, a
-    /// `beware_runtime::VirtualClock` when one was injected via
-    /// [`Registry::with_clock`]) and add the elapsed nanoseconds to the
-    /// counter `walltime/<prefix>/<name>_ns`. Wall-clock metrics live in
-    /// their own top-level family precisely so the deterministic JSON
-    /// export can exclude them (see [`WALLTIME_FAMILY`]).
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.reg.enabled {
-            return f();
-        }
-        let (out, elapsed) = match self.reg.clock.clone() {
-            Some(clock) => {
-                let t0 = clock.now();
-                let out = f();
-                (out, clock.since(t0))
-            }
-            None => {
-                let t0 = std::time::Instant::now();
-                let out = f();
-                (out, t0.elapsed())
-            }
-        };
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.reg.add(self.family(name, WALLTIME_FAMILY, "_ns").as_str(), ns);
-        out
-    }
-
-    /// Add externally measured wall-clock seconds under
-    /// `walltime/<prefix>/<name>_ns`.
-    pub fn record_wall_secs(&mut self, name: &str, secs: f64) {
-        if !self.reg.enabled {
-            return;
-        }
-        let ns = (secs.max(0.0) * 1e9).round() as u64;
-        self.reg.add(self.family(name, WALLTIME_FAMILY, "_ns").as_str(), ns);
     }
 }
 
@@ -575,9 +514,9 @@ mod tests {
         let mut outer = reg.scope("probe");
         let mut inner = outer.scope(&long);
         inner.incr("matched");
-        inner.record_wall_secs("span", 1e-9);
         let mut short = outer.scope("survey");
         short.add("matched", 2);
+        reg.scope("walltime").scope("probe").scope(&long).incr("span_ns");
         assert_eq!(reg.counter(&format!("probe/{long}/matched")), Some(1));
         assert_eq!(reg.counter(&format!("walltime/probe/{long}/span_ns")), Some(1));
         assert_eq!(reg.counter("probe/survey/matched"), Some(2));
@@ -589,7 +528,7 @@ mod tests {
         let mut root = reg.scope("");
         root.incr("top");
         root.scope("nested").incr("leaf");
-        root.record_wall_secs("span", 2e-9);
+        root.scope("walltime").add("span_ns", 2);
         assert_eq!(reg.counter("top"), Some(1));
         assert_eq!(reg.counter("nested/leaf"), Some(1));
         assert_eq!(reg.counter("walltime/span_ns"), Some(2));
@@ -618,8 +557,6 @@ mod tests {
         s.add("a", 1);
         s.gauge_max("b", 2);
         s.observe("c", 3);
-        let r = s.time("t", || 42);
-        assert_eq!(r, 42);
         assert!(reg.is_empty());
         assert!(!reg.enabled());
     }
@@ -688,9 +625,8 @@ mod tests {
     #[test]
     fn walltime_excluded_from_json_but_rendered() {
         let mut reg = Registry::new();
-        let mut s = reg.scope("bench");
-        s.add("steps", 1);
-        s.record_wall_secs("build", 1.5);
+        reg.scope("bench").add("steps", 1);
+        reg.scope("walltime").scope("bench").add("build_ns", 1_500_000_000);
         let json = reg.to_json();
         assert!(json.contains("bench/steps"));
         assert!(!json.contains("walltime"), "{json}");
@@ -722,39 +658,6 @@ mod tests {
         assert!(!json.contains("faults/"), "{json}");
         let text = reg.render_text();
         assert!(text.contains("faults/injected/corruptions"), "{text}");
-    }
-
-    #[test]
-    fn span_timer_records_elapsed() {
-        let mut reg = Registry::new();
-        let out = reg.scope("bench").time("work", || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            7
-        });
-        assert_eq!(out, 7);
-        let ns = reg.counter("walltime/bench/work_ns").unwrap();
-        assert!(ns >= 1_000_000, "elapsed {ns} ns");
-    }
-
-    #[test]
-    fn span_timer_on_a_virtual_clock_is_deterministic() {
-        use beware_runtime::VirtualClock;
-        // The walltime/ family becomes a pure function of the clock
-        // schedule: 145 simulated seconds elapse with no real wait.
-        let vc = VirtualClock::new();
-        let mut reg = Registry::with_clock(vc.handle());
-        let out = reg.scope("serve").time("stall", || {
-            vc.advance(std::time::Duration::from_secs(145));
-            "done"
-        });
-        assert_eq!(out, "done");
-        assert_eq!(reg.counter("walltime/serve/stall_ns"), Some(145_000_000_000));
-        // Export exclusion is clock-independent: walltime/ stays out of
-        // the JSON either way.
-        reg.scope("serve").incr("queries");
-        let json = reg.to_json();
-        assert!(json.contains("serve/queries"), "{json}");
-        assert!(!json.contains("walltime"), "{json}");
     }
 
     #[test]

@@ -12,33 +12,29 @@ use beware::netsim::rng::Dist;
 use beware::netsim::world::World;
 use beware::netsim::Simulation;
 use beware::probe::adaptive::{AdaptiveCfg, AdaptiveProber};
-use std::sync::Arc;
 
 fn main() {
     // Cellular block with wake-up and short disconnect episodes.
-    let mut world = World::new(0x60);
-    world.add_block(
-        0x0a0000,
-        Arc::new(BlockProfile {
-            base_rtt: Dist::LogNormal { median: 0.3, sigma: 0.3 },
-            jitter: Dist::Exponential { mean: 0.1 },
-            density: 0.5,
-            response_prob: 1.0,
-            error_prob: 0.0,
-            dup_prob: 0.0,
-            wakeup: Some(WakeupCfg { host_prob: 1.0, ..Default::default() }),
-            episodes: Some(EpisodeCfg {
-                host_prob: 0.5,
-                interval: Dist::Constant(300.0),
-                duration: Dist::Constant(35.0),
-                max_duration_secs: 40.0,
-                buffer_prob: 1.0,
-                buffer_cap: 200,
-                blackout_secs_max: 5.0,
-            }),
-            ..Default::default()
+    let profile = BlockProfile {
+        base_rtt: Dist::LogNormal { median: 0.3, sigma: 0.3 },
+        jitter: Dist::Exponential { mean: 0.1 },
+        density: 0.5,
+        response_prob: 1.0,
+        error_prob: 0.0,
+        dup_prob: 0.0,
+        wakeup: Some(WakeupCfg { host_prob: 1.0, ..Default::default() }),
+        episodes: Some(EpisodeCfg {
+            host_prob: 0.5,
+            interval: Dist::Constant(300.0),
+            duration: Dist::Constant(35.0),
+            max_duration_secs: 40.0,
+            buffer_prob: 1.0,
+            buffer_cap: 200,
+            blackout_secs_max: 5.0,
         }),
-    );
+        ..Default::default()
+    };
+    let world = World::from_blocks(0x60, [(0x0a0000, profile)]);
     let targets: Vec<u32> =
         (2u32..250).map(|o| 0x0a000000 + o).filter(|&a| world.is_live(a)).take(12).collect();
     println!("monitoring {} live cellular hosts (none is ever down)\n", targets.len());

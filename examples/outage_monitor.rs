@@ -14,7 +14,6 @@ use beware::netsim::profile::{BlockProfile, EpisodeCfg, WakeupCfg};
 use beware::netsim::rng::Dist;
 use beware::netsim::world::World;
 use beware::probe::prelude::*;
-use std::sync::Arc;
 
 /// Thunderping declares an address unresponsive after N consecutive
 /// unanswered probes. Count such verdicts over a probe train.
@@ -39,30 +38,27 @@ fn false_outages(rtts: &[Option<f64>], timeout_secs: f64, retries: usize) -> usi
 fn main() {
     // A cellular block: wake-up delays plus occasional disconnect
     // episodes whose responses arrive very late — but always arrive.
-    let mut world = World::new(0xca11);
-    world.add_block(
-        0x0a0000,
-        Arc::new(BlockProfile {
-            base_rtt: Dist::LogNormal { median: 0.25, sigma: 0.3 },
-            jitter: Dist::Exponential { mean: 0.1 },
-            density: 0.5,
-            response_prob: 1.0, // nothing is ever lost in this demo
-            error_prob: 0.0,
-            dup_prob: 0.0,
-            wakeup: Some(WakeupCfg { host_prob: 1.0, ..Default::default() }),
-            // Short disconnect episodes: responses delayed up to ~50 s,
-            // never lost — within the 60 s listen window, far beyond 3 s.
-            episodes: Some(EpisodeCfg {
-                host_prob: 0.3,
-                duration: Dist::LogNormal { median: 25.0, sigma: 0.4 },
-                max_duration_secs: 50.0,
-                buffer_prob: 1.0,
-                buffer_cap: 500,
-                ..Default::default()
-            }),
+    let profile = BlockProfile {
+        base_rtt: Dist::LogNormal { median: 0.25, sigma: 0.3 },
+        jitter: Dist::Exponential { mean: 0.1 },
+        density: 0.5,
+        response_prob: 1.0, // nothing is ever lost in this demo
+        error_prob: 0.0,
+        dup_prob: 0.0,
+        wakeup: Some(WakeupCfg { host_prob: 1.0, ..Default::default() }),
+        // Short disconnect episodes: responses delayed up to ~50 s,
+        // never lost — within the 60 s listen window, far beyond 3 s.
+        episodes: Some(EpisodeCfg {
+            host_prob: 0.3,
+            duration: Dist::LogNormal { median: 25.0, sigma: 0.4 },
+            max_duration_secs: 50.0,
+            buffer_prob: 1.0,
+            buffer_cap: 500,
             ..Default::default()
         }),
-    );
+        ..Default::default()
+    };
+    let mut world = World::from_blocks(0xca11, [(0x0a0000, profile)]);
 
     // Monitor 40 live hosts: one ping every 10 s for ~3 hours each.
     let targets: Vec<u32> =

@@ -519,3 +519,47 @@ fn shootout_cli_is_thread_count_invariant() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `fullspace` rejects numeric flags that would otherwise run a different
+/// campaign without saying so: a NaN or non-positive quiescence window
+/// (every host evicted on every insert), a degrade scale that is not a
+/// positive finite number (a silent partition), and event windows that
+/// do not start at a finite time ≥ 0 or do not end after they start.
+#[test]
+fn fullspace_rejects_values_that_silently_change_the_run() {
+    let dir = tempdir("fullspace-flags");
+    let run = |extra: &[&str]| {
+        let mut args = vec!["fullspace", "--bits", "12", "--blocks", "64", "--bench", "b.json"];
+        args.extend_from_slice(extra);
+        beware(&args, &dir)
+    };
+
+    let ok = run(&["--quiescence", "0.5", "--event", "degrade:access:0x0000:0:inf:0.5"]);
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+
+    for q in ["nan", "-3", "0", "inf"] {
+        let out = run(&["--quiescence", q]);
+        assert_eq!(out.status.code(), Some(2), "--quiescence {q} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--quiescence"), "{stderr}");
+    }
+    for event in [
+        "degrade:access:0x0100:0:inf:-1",
+        "degrade:access:0x0100:0:inf:0",
+        "degrade:access:0x0100:0:inf:nan",
+        "degrade:access:0x0100:0:inf:inf",
+        "partition:access:0x0100:-5:10",
+        "partition:access:0x0100:nan:10",
+        "partition:access:0x0100:inf:inf",
+        "partition:access:0x0100:10:5",
+        "partition:access:0x0100:10:10",
+        "partition:access:0x0100:10:nan",
+    ] {
+        let out = run(&["--event", event]);
+        assert_eq!(out.status.code(), Some(2), "--event {event} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--event"), "{stderr}");
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}

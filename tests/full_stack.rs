@@ -10,7 +10,6 @@ use beware::netsim::rng::Dist;
 use beware::netsim::world::World;
 use beware::probe::prelude::*;
 use beware::wire::payload::ProbePayload;
-use std::sync::Arc;
 
 fn quiet() -> BlockProfile {
     BlockProfile {
@@ -28,8 +27,7 @@ fn quiet() -> BlockProfile {
 fn simulated_packets_are_valid_wire_bytes() {
     // Every packet the world emits must encode to parseable, checksummed
     // bytes and decode back identically.
-    let mut w = World::new(3);
-    w.add_block(0x0a0000, Arc::new(quiet()));
+    let mut w = World::from_blocks(3, [(0x0a0000, quiet())]);
     let probe = Packet::echo_request(0x01010101, 0x0a000010, 7, 1, vec![0xaa; 24]);
     let arrivals = w.probe(&probe, beware::netsim::SimTime::EPOCH);
     assert!(!arrivals.is_empty());
@@ -44,19 +42,16 @@ fn simulated_packets_are_valid_wire_bytes() {
 fn zmap_payload_roundtrips_through_the_world() {
     // The payload embedding must survive the echo: a broadcast responder's
     // reply still carries the *original* destination.
-    let mut w = World::new(3);
-    w.add_block(
-        0x0a0000,
-        Arc::new(BlockProfile {
-            broadcast: Some(beware::netsim::profile::BroadcastCfg {
-                responder_prob: 1.0,
-                edge_responder_prob: 1.0,
-                unicast_silent_prob: 0.0,
-                network_addr_responds: false,
-            }),
-            ..quiet()
+    let profile = BlockProfile {
+        broadcast: Some(beware::netsim::profile::BroadcastCfg {
+            responder_prob: 1.0,
+            edge_responder_prob: 1.0,
+            unicast_silent_prob: 0.0,
+            network_addr_responds: false,
         }),
-    );
+        ..quiet()
+    };
+    let mut w = World::from_blocks(3, [(0x0a0000, profile)]);
     let key = 0x1234;
     let payload = ProbePayload { dest: 0x0a0000ff, send_ns: 55_000 }.encode(key);
     let probe = Packet::echo_request(0x01010101, 0x0a0000ff, 7, 1, payload.to_vec());
@@ -75,14 +70,11 @@ fn wakeup_world_shows_eleven_minute_survey_pattern() {
     // With an 11-minute probing interval, every probe to a wake-up host
     // finds the radio idle: the survey-detected latency distribution sits
     // at base + wake-up, not at base.
-    let mut w = World::new(9);
-    w.add_block(
-        0x0a0000,
-        Arc::new(BlockProfile {
-            wakeup: Some(WakeupCfg { host_prob: 1.0, delay: Dist::Constant(1.5), tail_secs: 10.0 }),
-            ..quiet()
-        }),
-    );
+    let profile = BlockProfile {
+        wakeup: Some(WakeupCfg { host_prob: 1.0, delay: Dist::Constant(1.5), tail_secs: 10.0 }),
+        ..quiet()
+    };
+    let mut w = World::from_blocks(9, [(0x0a0000, profile)]);
     let cfg = SurveyCfg { blocks: vec![0x0a0000], rounds: 4, ..Default::default() };
     let ((records, stats), _) = cfg.build(Vec::new()).run(&mut w);
     assert_eq!(stats.matched, 254 * 4);
@@ -98,8 +90,10 @@ fn recommendation_api_flags_short_timeouts_on_slow_worlds() {
     // A world where every host answers at 4 s: a 3 s timeout implies 100%
     // false loss, a 60 s timeout implies none; the recommended 95/95
     // timeout exceeds 4 s.
-    let mut w = World::new(1);
-    w.add_block(0x0a0000, Arc::new(BlockProfile { base_rtt: Dist::Constant(4.0), ..quiet() }));
+    let mut w = World::from_blocks(
+        1,
+        [(0x0a0000, BlockProfile { base_rtt: Dist::Constant(4.0), ..quiet() })],
+    );
     let cfg = SurveyCfg { blocks: vec![0x0a0000], rounds: 3, ..Default::default() };
     let ((records, _), _) = cfg.build(Vec::new()).run(&mut w);
     let out = run_pipeline(&records, &PipelineCfg::default());
@@ -115,8 +109,7 @@ fn recommendation_api_flags_short_timeouts_on_slow_worlds() {
 
 #[test]
 fn icmp_error_addresses_do_not_enter_latency_analysis() {
-    let mut w = World::new(4);
-    w.add_block(0x0a0000, Arc::new(BlockProfile { error_prob: 1.0, ..quiet() }));
+    let mut w = World::from_blocks(4, [(0x0a0000, BlockProfile { error_prob: 1.0, ..quiet() })]);
     let cfg = SurveyCfg { blocks: vec![0x0a0000], rounds: 2, ..Default::default() };
     let ((records, stats), _) = cfg.build(Vec::new()).run(&mut w);
     assert!(stats.errors > 0);
@@ -127,28 +120,28 @@ fn icmp_error_addresses_do_not_enter_latency_analysis() {
 #[test]
 fn mixed_world_pipeline_is_internally_consistent() {
     // Compose several behaviors in one world and check global invariants.
-    let mut w = World::new(77);
-    w.add_block(0x0a0000, Arc::new(quiet()));
-    w.add_block(
-        0x0a0001,
-        Arc::new(BlockProfile {
-            wakeup: Some(WakeupCfg::default()),
-            response_prob: 0.9,
-            ..quiet()
-        }),
-    );
-    w.add_block(
-        0x0a0002,
-        Arc::new(BlockProfile {
-            broadcast: Some(beware::netsim::profile::BroadcastCfg {
-                responder_prob: 0.05,
-                edge_responder_prob: 0.9,
-                unicast_silent_prob: 0.8,
-                network_addr_responds: true,
-            }),
-            density: 0.4,
-            ..quiet()
-        }),
+    let mut w = World::from_blocks(
+        77,
+        [
+            (0x0a0000, quiet()),
+            (
+                0x0a0001,
+                BlockProfile { wakeup: Some(WakeupCfg::default()), response_prob: 0.9, ..quiet() },
+            ),
+            (
+                0x0a0002,
+                BlockProfile {
+                    broadcast: Some(beware::netsim::profile::BroadcastCfg {
+                        responder_prob: 0.05,
+                        edge_responder_prob: 0.9,
+                        unicast_silent_prob: 0.8,
+                        network_addr_responds: true,
+                    }),
+                    density: 0.4,
+                    ..quiet()
+                },
+            ),
+        ],
     );
     let cfg =
         SurveyCfg { blocks: vec![0x0a0000, 0x0a0001, 0x0a0002], rounds: 30, ..Default::default() };
