@@ -1,9 +1,11 @@
 //! The discrete-event queue at the heart of the simulator — a thin
 //! adapter over [`beware_runtime::DeadlineWheel`].
 //!
-//! The wheel stores each event in a slab slot and orders plain integer
-//! heap entries `(deadline ns, insertion seq, slot)`, the same total order
-//! the simulator has always promised: time order, FIFO among
+//! The wheel stores each event in a slab slot and files plain integer
+//! entries `(deadline ns, insertion seq, slot)` in a monotone radix heap,
+//! which fits a simulator exactly: the clock only moves forward, so
+//! nothing is ever scheduled before the last event popped. Its order is
+//! the one the simulator has always promised: time order, FIFO among
 //! same-nanosecond ties. So the queue is the wheel itself, holding the
 //! payloads; what the adapter adds on top:
 //!

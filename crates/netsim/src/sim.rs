@@ -4,7 +4,9 @@
 //! Agents are written callback-style against [`Ctx`]: they send packets,
 //! set timers, and receive deliveries. The loop schedules through the
 //! shared `runtime::DeadlineWheel` (via [`EventQueue`]), which holds every
-//! pending event in a slab slot and hands back a key per event, and it
+//! pending event in a slab slot, orders them in a monotone radix heap
+//! (each pop costs a bucket step, not a sift through a binary heap), and
+//! hands back a key per event, and it
 //! drives a [`SimClock`] forward as it pops. So timers are genuinely
 //! cancellable at the cost of a slot lookup ([`Ctx::cancel_timer`]), and
 //! any component written against `beware_runtime::Clock` can observe the

@@ -9,9 +9,8 @@
 //!
 //! **Only for keys the simulator generates itself.** With no secret key,
 //! anyone who picks the keys can pick colliding ones and turn every lookup
-//! into a linear scan. Maps keyed by anything a peer sends (the serve
-//! engine's answer cache, keyed by client queries) keep std's keyed
-//! SipHash.
+//! into a linear scan. A map keyed by anything a peer sends must keep
+//! std's keyed SipHash.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

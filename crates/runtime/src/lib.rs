@@ -23,7 +23,8 @@
 //!   `beware-serve` all re-export or delegate to it, with equivalence
 //!   tests pinning the streams to the retired private copies.
 //! * [`DeadlineWheel`] — the one deadline scheduler: a slab of
-//!   generation-stamped slots under a heap of plain integers, handing out
+//!   generation-stamped slots under a monotone radix heap of plain
+//!   integers, handing out
 //!   [`TimerKey`]s for cancellation with no hashing on any path. netsim's
 //!   event queue runs on it, as do the oracle server's shards (idle
 //!   eviction, reload polls) and the chaos proxy (deferred delayed
@@ -41,8 +42,8 @@
 //!   multiply-rotate hasher, for integer keys the simulator generates
 //!   itself: netsim's block tables, block cache, host table and link
 //!   queues. It has no secret key, so whoever picks the keys can pick
-//!   colliding ones. The serve crate therefore keeps std's keyed SipHash:
-//!   its engine's answer cache is keyed by the queries clients send.
+//!   colliding ones, so a map keyed by what a peer sends must keep std's
+//!   keyed SipHash.
 //!
 //! Determinism contract: under a [`VirtualClock`] every timestamp a
 //! component observes is a pure function of its inputs and seeds — no

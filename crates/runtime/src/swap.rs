@@ -118,9 +118,8 @@ impl<T> SlotReader<T> {
         &self.cached
     }
 
-    /// Version of the value [`current`](Self::current) last returned.
-    /// Shards compare it against their cache-stamp to invalidate
-    /// version-dependent state (the reply cache) after a swap.
+    /// Version of the value [`current`](Self::current) last returned: the
+    /// epoch a `SnapshotInfo` reply reports beside the snapshot it read.
     pub fn version(&self) -> u64 {
         self.seen
     }

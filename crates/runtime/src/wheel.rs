@@ -10,27 +10,44 @@
 //! for the next interesting deadline, and pop values whose time has come.
 //!
 //! Layout: values live in a slab of generation-stamped slots, reused
-//! through a free list; a binary heap orders plain integer entries
-//! `(at_ns, seq, slot)`. `seq` is unique per insert, so ties pop FIFO and
-//! the order is total without any bound on `V`. A [`TimerKey`] is the
-//! slot plus the `seq` it was issued with, so no hashing happens anywhere:
-//! cancel is a slot lookup and a `seq` compare, and a stale key — fired,
-//! cancelled, or pointing at a slot since reused — is inert.
+//! through a free list; a monotone radix heap (Ahuja, Mehlhorn, Orlin &
+//! Tarjan, 1990) orders plain integer entries `(at_ns, seq, slot)`. `seq`
+//! is unique per insert, so the order is total without any bound on `V`.
+//! A [`TimerKey`] is the slot plus the `seq` it was issued with, so no
+//! hashing happens anywhere: cancel is a slot lookup and a `seq` compare,
+//! and a stale key — fired, cancelled, or pointing at a slot since
+//! reused — is inert.
 //!
-//! Cancellation is **lazy**: the heap keeps the cancelled entry and skips
-//! it when it surfaces (its `seq` no longer matches a live slot). Stale
-//! entries are compacted away as soon as they outnumber the live ones, so
-//! a hot connection rescheduled on every read (cancel plus insert) keeps
-//! the heap within about twice the live count.
+//! The radix heap exploits that simulated time and a shard's clock never
+//! go backwards. It keeps a *base* no queued deadline precedes — the
+//! earliest deadline it last brought to the front — and files each entry
+//! in bucket `b`, the number of significant bits in `at_ns ^ base`:
+//! bucket 0 holds entries due exactly at the base, bucket `b ≥ 1` those
+//! whose highest bit differing from it is bit `b - 1`. When bucket 0
+//! runs dry, the lowest non-empty bucket's minimum (tracked as entries
+//! arrive) becomes the new base and that bucket is redistributed into
+//! lower ones in one pass; every entry can only move down, so each is
+//! touched at most 64 times over its life and usually a handful. Buckets
+//! are append-only and a redistribution keeps their order, which makes
+//! ties on `at_ns` pop FIFO without comparing `seq`. An insert *earlier*
+//! than the base — a shard arming a deadline sooner than the one
+//! [`next_deadline`](DeadlineWheel::next_deadline) just reported — goes
+//! to a small side list kept sorted by `(at_ns, seq)`, which drains
+//! before the buckets.
+//!
+//! Cancellation is **lazy**: the cancelled entry stays queued and is
+//! skipped when it surfaces (its `seq` no longer matches a live slot).
+//! Stale entries are compacted away as soon as they outnumber the live
+//! ones, so a hot connection rescheduled on every read (cancel plus
+//! insert) keeps the queue within about twice the live count.
 //!
 //! Timestamps are stored as whole nanoseconds, saturating at `u64::MAX`
 //! (about 584 years); later deadlines all read back as that instant.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Stale heap entries tolerated on top of the live count before a
+/// Stale entries tolerated on top of the live count before a
 /// compaction: keeps tiny wheels from compacting on every cancel.
 const COMPACT_SLACK: usize = 32;
 
@@ -52,6 +69,15 @@ struct Slot<V> {
     value: Option<V>,
 }
 
+/// One queued deadline: the slot it names and the `seq` that proves the
+/// slot still holds the value it was queued for.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    at_ns: u64,
+    seq: u64,
+    slot: u32,
+}
+
 /// A deadline scheduler over values of type `V`.
 ///
 /// Timestamps are [`Duration`]s on whatever [`crate::Clock`] the caller
@@ -60,13 +86,28 @@ struct Slot<V> {
 /// deadline, ties in insertion order.
 #[derive(Debug)]
 pub struct DeadlineWheel<V> {
-    /// `(deadline ns, seq, slot)`, earliest first.
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     slots: Vec<Slot<V>>,
     /// Empty slots, reused before the slab grows.
     free: Vec<u32>,
     live: usize,
     next_seq: u64,
+    /// No entry in `due` or `buckets` is earlier. Only rises.
+    base: u64,
+    /// Bucket 0: entries due exactly at `base`, in insertion order.
+    due: VecDeque<Entry>,
+    /// Buckets 1..=64 at indices 0..64: `buckets[i]` holds entries whose
+    /// deadline's highest bit differing from `base` is bit `i`.
+    buckets: [Vec<Entry>; 64],
+    /// `mins[i]`: the earliest deadline pushed into `buckets[i]` since it
+    /// was last emptied (stale entries included, so a lower bound).
+    mins: [u64; 64],
+    /// Bit `i` set exactly when `buckets[i]` is non-empty.
+    mask: u64,
+    /// Entries earlier than `base`, sorted latest first so the earliest
+    /// pops off the end.
+    early: Vec<Entry>,
+    /// Entries queued anywhere, pending and stale together.
+    queued: usize,
 }
 
 impl<V> Default for DeadlineWheel<V> {
@@ -83,11 +124,17 @@ impl<V> DeadlineWheel<V> {
     /// An empty wheel.
     pub fn new() -> DeadlineWheel<V> {
         DeadlineWheel {
-            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
             next_seq: 0,
+            base: 0,
+            due: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; 64],
+            mask: 0,
+            early: Vec::new(),
+            queued: 0,
         }
     }
 
@@ -109,12 +156,21 @@ impl<V> DeadlineWheel<V> {
             }
         };
         self.live += 1;
-        self.heap.push(Reverse((at_ns, seq, slot)));
+        self.queued += 1;
+        let entry = Entry { at_ns, seq, slot };
+        if at_ns < self.base {
+            // `early` runs latest first and this entry has the largest
+            // `seq`, so it goes ahead of its ties and pops after them.
+            let at = self.early.partition_point(|e| e.at_ns > at_ns);
+            self.early.insert(at, entry);
+        } else {
+            self.file(entry);
+        }
         TimerKey { slot, seq }
     }
 
     /// Cancel `key`, returning its value if it was still pending. Fired,
-    /// already-cancelled and reused-slot keys return `None`. The heap
+    /// already-cancelled and reused-slot keys return `None`. The queued
     /// entry is dropped lazily.
     pub fn cancel(&mut self, key: TimerKey) -> Option<V> {
         let slot = self.slots.get_mut(key.slot as usize)?;
@@ -123,7 +179,7 @@ impl<V> DeadlineWheel<V> {
         }
         let value = slot.value.take()?;
         self.release(key.slot);
-        if self.heap.len() - self.live > self.live + COMPACT_SLACK {
+        if self.queued - self.live > self.live + COMPACT_SLACK {
             self.compact();
         }
         Some(value)
@@ -135,18 +191,24 @@ impl<V> DeadlineWheel<V> {
         (slot.seq == key.seq && slot.value.is_some()).then(|| Duration::from_nanos(slot.at_ns))
     }
 
-    /// The earliest pending deadline (sweeping stale entries off the top).
+    /// The earliest pending deadline (sweeping stale entries off the
+    /// front).
     pub fn next_deadline(&mut self) -> Option<Duration> {
-        self.sweep();
-        self.heap.peek().map(|&Reverse((at_ns, _, _))| Duration::from_nanos(at_ns))
+        self.front().map(|e| Duration::from_nanos(e.at_ns))
     }
 
     /// Pop one value whose deadline is `<= now`, with its deadline.
     /// Deterministic order: earliest deadline first, FIFO among equals.
     pub fn pop_expired(&mut self, now: Duration) -> Option<(V, Duration)> {
-        self.sweep();
-        match self.heap.peek() {
-            Some(&Reverse((at_ns, _, _))) if at_ns <= nanos(now) => self.pop_next(),
+        let now = nanos(now);
+        // Nothing queued can be due while a lower bound on every queued
+        // deadline is later than `now`; answering from the bound leaves
+        // the base where it is.
+        if self.lower_bound()? > now {
+            return None;
+        }
+        match self.front() {
+            Some(e) if e.at_ns <= now => Some(self.take_front(e)),
             _ => None,
         }
     }
@@ -159,15 +221,8 @@ impl<V> DeadlineWheel<V> {
     ///
     /// [`pop_expired`]: DeadlineWheel::pop_expired
     pub fn pop_next(&mut self) -> Option<(V, Duration)> {
-        while let Some(Reverse((at_ns, seq, slot))) = self.heap.pop() {
-            if !Self::is_live(&self.slots, seq, slot) {
-                continue;
-            }
-            let value = self.slots[slot as usize].value.take().expect("live slot holds a value");
-            self.release(slot);
-            return Some((value, Duration::from_nanos(at_ns)));
-        }
-        None
+        let e = self.front()?;
+        Some(self.take_front(e))
     }
 
     /// Number of pending values.
@@ -180,10 +235,10 @@ impl<V> DeadlineWheel<V> {
         self.live == 0
     }
 
-    /// Heap entries, pending and stale together: at most about twice
+    /// Queued entries, pending and stale together: at most about twice
     /// [`len`](DeadlineWheel::len) — the bound compaction keeps.
     pub fn heap_len(&self) -> usize {
-        self.heap.len()
+        self.queued
     }
 
     /// Return an emptied slot to the free list.
@@ -192,26 +247,107 @@ impl<V> DeadlineWheel<V> {
         self.live -= 1;
     }
 
-    /// Whether heap entry `(seq, slot)` still names a pending value.
-    fn is_live(slots: &[Slot<V>], seq: u64, slot: u32) -> bool {
-        let s = &slots[slot as usize];
-        s.seq == seq && s.value.is_some()
+    /// Whether `entry` still names a pending value.
+    fn is_live(slots: &[Slot<V>], entry: &Entry) -> bool {
+        let s = &slots[entry.slot as usize];
+        s.seq == entry.seq && s.value.is_some()
     }
 
-    /// Drop stale heap entries (cancelled values) off the top.
-    fn sweep(&mut self) {
-        while let Some(&Reverse((_, seq, slot))) = self.heap.peek() {
-            if Self::is_live(&self.slots, seq, slot) {
-                return;
+    /// File an entry no earlier than `base` into its radix bucket.
+    fn file(&mut self, entry: Entry) {
+        match (entry.at_ns ^ self.base).checked_ilog2() {
+            None => self.due.push_back(entry),
+            Some(bit) => {
+                let i = bit as usize;
+                self.buckets[i].push(entry);
+                self.mins[i] = self.mins[i].min(entry.at_ns);
+                self.mask |= 1 << i;
             }
-            self.heap.pop();
         }
     }
 
-    /// Drop every stale heap entry and re-heapify.
+    /// A deadline no later than the earliest queued entry, live or
+    /// stale; `None` when nothing is queued.
+    fn lower_bound(&self) -> Option<u64> {
+        if let Some(e) = self.early.last() {
+            return Some(e.at_ns);
+        }
+        if !self.due.is_empty() {
+            return Some(self.base);
+        }
+        (self.mask != 0).then(|| self.mins[self.mask.trailing_zeros() as usize])
+    }
+
+    /// The earliest pending entry, left at the front of `early` or `due`:
+    /// stale entries ahead of it are dropped, and buckets are
+    /// redistributed until bucket 0 holds it.
+    fn front(&mut self) -> Option<Entry> {
+        while let Some(e) = self.early.last() {
+            if Self::is_live(&self.slots, e) {
+                return Some(*e);
+            }
+            self.early.pop();
+            self.queued -= 1;
+        }
+        loop {
+            while let Some(e) = self.due.front() {
+                if Self::is_live(&self.slots, e) {
+                    return Some(*e);
+                }
+                self.due.pop_front();
+                self.queued -= 1;
+            }
+            if self.mask == 0 {
+                return None;
+            }
+            self.redistribute();
+        }
+    }
+
+    /// Advance the base to the lowest non-empty bucket's minimum and
+    /// refile that bucket's entries, in order, into the (empty) buckets
+    /// below it. The caller has drained `due` and `early`.
+    fn redistribute(&mut self) {
+        let i = self.mask.trailing_zeros() as usize;
+        self.base = self.mins[i];
+        self.mins[i] = u64::MAX;
+        self.mask &= !(1 << i);
+        let mut bucket = std::mem::take(&mut self.buckets[i]);
+        for entry in bucket.drain(..) {
+            self.file(entry);
+        }
+        // Keep the emptied bucket's allocation for its next fill.
+        self.buckets[i] = bucket;
+    }
+
+    /// Remove `entry`, which [`front`](Self::front) just returned, and
+    /// hand back its value.
+    fn take_front(&mut self, entry: Entry) -> (V, Duration) {
+        if self.early.pop().is_none() {
+            self.due.pop_front();
+        }
+        self.queued -= 1;
+        let value = self.slots[entry.slot as usize].value.take().expect("live slot holds a value");
+        self.release(entry.slot);
+        (value, Duration::from_nanos(entry.at_ns))
+    }
+
+    /// Drop every stale entry, keeping each bucket's order, and re-derive
+    /// the bucket minimums.
     fn compact(&mut self) {
         let slots = &self.slots;
-        self.heap.retain(|&Reverse((_, seq, slot))| Self::is_live(slots, seq, slot));
+        let live = |e: &Entry| Self::is_live(slots, e);
+        self.early.retain(live);
+        self.due.retain(live);
+        self.mask = 0;
+        for (i, (bucket, min)) in self.buckets.iter_mut().zip(&mut self.mins).enumerate() {
+            bucket.retain(live);
+            *min = bucket.iter().map(|e| e.at_ns).min().unwrap_or(u64::MAX);
+            if !bucket.is_empty() {
+                self.mask |= 1 << i;
+            }
+        }
+        self.queued = self.live;
     }
 }
 
@@ -366,6 +502,34 @@ mod tests {
             (0..200u64).filter(|i| i % 5 == 0).map(|i| (i, s(i * 37 % 7))).collect();
         expect.sort_by_key(|&(i, at)| (at, i));
         assert_eq!(popped, expect);
+    }
+
+    #[test]
+    fn an_insert_below_the_reported_deadline_pops_first_and_in_order() {
+        // The shard pattern: ask for the next deadline (which advances
+        // the radix base to it), then arm deadlines earlier than that one
+        // but later than the last pop, and expect them first, FIFO among
+        // ties, before the deadline that was reported.
+        let mut w = DeadlineWheel::new();
+        w.insert(s(1), "first");
+        w.insert(s(100), "idle");
+        w.insert(s(100), "idle-tie");
+        assert_eq!(w.pop_expired(s(1)), Some(("first", s(1))));
+        assert_eq!(w.next_deadline(), Some(s(100)));
+        w.insert(s(40), "reload");
+        w.insert(s(10), "drain");
+        w.insert(s(40), "reload-tie");
+        w.insert(s(100), "idle-late");
+        assert_eq!(w.next_deadline(), Some(s(10)));
+        assert_eq!(w.pop_expired(s(5)), None);
+        assert_eq!(w.pop_expired(s(50)), Some(("drain", s(10))));
+        assert_eq!(w.pop_expired(s(50)), Some(("reload", s(40))));
+        assert_eq!(w.pop_expired(s(50)), Some(("reload-tie", s(40))));
+        assert_eq!(w.pop_expired(s(50)), None);
+        assert_eq!(w.pop_expired(s(100)), Some(("idle", s(100))));
+        assert_eq!(w.pop_expired(s(100)), Some(("idle-tie", s(100))));
+        assert_eq!(w.pop_expired(s(100)), Some(("idle-late", s(100))));
+        assert!(w.is_empty());
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * [`Conn`] — per-connection state (reassembly buffer, bounded output
 //!   queue, lifecycle flags) generic over its transport.
 //! * [`Engine`] — one shard's protocol state: the lock-free oracle
-//!   reader, the policy plane, the reply cache, reload execution. Its
+//!   reader, the policy plane, reload execution, and the per-request
+//!   metric handles. Every query is answered from the oracle itself,
+//!   uncached: a lookup costs about what a cache probe would, and in-sim
+//!   clients rarely repeat a query. Its
 //!   [`service`](Engine::service)/[`flush`](Engine::flush) methods run
 //!   **identical logic** whether bytes arrive from a kernel socket or a
 //!   simulated link, which is what makes in-sim campaign results
@@ -38,9 +41,9 @@ use beware_policy::{PolicyKind, PolicyTable, PrefixPolicyMap, RttSample, INITIAL
 use beware_runtime::clock::SharedClock;
 use beware_runtime::reactor::{Interest, StopSignal};
 use beware_runtime::swap::{Slot, SlotReader};
-use beware_telemetry::Registry;
+use beware_telemetry::{Handle, Registry};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -77,54 +80,53 @@ impl Transport for TcpStream {
 /// both ends, and determinism forbids cross-thread traffic anyway.
 #[derive(Debug)]
 pub struct ChannelTransport {
-    inbound: Rc<RefCell<VecDeque<u8>>>,
-    outbound: Rc<RefCell<VecDeque<u8>>>,
-    peer_open: Rc<RefCell<bool>>,
+    pipe: Rc<RefCell<Pipe>>,
 }
 
 /// The client end of a [`ChannelTransport`].
 #[derive(Debug)]
 pub struct ChannelPeer {
-    /// Bytes the client sends (the server's inbound queue).
-    to_server: Rc<RefCell<VecDeque<u8>>>,
-    /// Bytes the server sent (the server's outbound queue).
-    from_server: Rc<RefCell<VecDeque<u8>>>,
-    open: Rc<RefCell<bool>>,
+    pipe: Rc<RefCell<Pipe>>,
+}
+
+/// The state both ends of one channel share: one allocation per
+/// connection.
+#[derive(Debug)]
+struct Pipe {
+    /// Bytes the client sent that the server has not read.
+    to_server: VecDeque<u8>,
+    /// Bytes the server wrote that the client has not drained.
+    from_server: VecDeque<u8>,
+    /// Whether the client is still connected.
+    open: bool,
 }
 
 /// An in-memory duplex byte channel: `(server_side, client_side)`.
 pub fn channel_pair() -> (ChannelTransport, ChannelPeer) {
-    let inbound = Rc::new(RefCell::new(VecDeque::new()));
-    let outbound = Rc::new(RefCell::new(VecDeque::new()));
-    let open = Rc::new(RefCell::new(true));
-    (
-        ChannelTransport {
-            inbound: Rc::clone(&inbound),
-            outbound: Rc::clone(&outbound),
-            peer_open: Rc::clone(&open),
-        },
-        ChannelPeer { to_server: inbound, from_server: outbound, open },
-    )
+    let pipe = Rc::new(RefCell::new(Pipe {
+        to_server: VecDeque::new(),
+        from_server: VecDeque::new(),
+        open: true,
+    }));
+    (ChannelTransport { pipe: Rc::clone(&pipe) }, ChannelPeer { pipe })
 }
 
 impl Transport for ChannelTransport {
     fn read_nb(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut q = self.inbound.borrow_mut();
-        if q.is_empty() {
-            if *self.peer_open.borrow() {
+        let mut pipe = self.pipe.borrow_mut();
+        if pipe.to_server.is_empty() {
+            if pipe.open {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
             return Ok(0); // peer hung up and everything is drained
         }
-        let n = q.len().min(buf.len());
-        for b in buf.iter_mut().take(n) {
-            *b = q.pop_front().expect("len checked");
-        }
-        Ok(n)
+        // Copies the queue's front slice; a wrapped remainder is the
+        // next call's.
+        pipe.to_server.read(buf)
     }
 
     fn write_nb(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.outbound.borrow_mut().extend(buf.iter().copied());
+        self.pipe.borrow_mut().from_server.extend(buf);
         Ok(buf.len())
     }
 }
@@ -132,25 +134,27 @@ impl Transport for ChannelTransport {
 impl ChannelPeer {
     /// Queue request bytes for the server to read.
     pub fn send(&self, bytes: &[u8]) {
-        self.to_server.borrow_mut().extend(bytes.iter().copied());
+        self.pipe.borrow_mut().to_server.extend(bytes);
     }
 
     /// Take every reply byte the server has written so far.
     pub fn drain(&self, into: &mut Vec<u8>) {
-        let mut q = self.from_server.borrow_mut();
-        into.extend(q.iter().copied());
+        let q = &mut self.pipe.borrow_mut().from_server;
+        let (front, back) = q.as_slices();
+        into.extend_from_slice(front);
+        into.extend_from_slice(back);
         q.clear();
     }
 
     /// Reply bytes currently queued.
     pub fn pending(&self) -> usize {
-        self.from_server.borrow().len()
+        self.pipe.borrow().from_server.len()
     }
 
     /// Hang up: the server's next read observes EOF once the inbound
     /// queue is drained.
     pub fn close(&self) {
-        *self.open.borrow_mut() = false;
+        self.pipe.borrow_mut().open = false;
     }
 }
 
@@ -400,11 +404,6 @@ impl<T> Conn<T> {
     }
 }
 
-/// Per-shard answer cache cap; the cache is cleared wholesale when full
-/// (queries repeat heavily under load, so wholesale eviction is rare and
-/// keeps the structure trivial).
-const CACHE_CAP: usize = 8192;
-
 /// Default upper bound on one connection's queued-but-unsent reply
 /// bytes. A peer that keeps sending queries without draining its answers
 /// is a slow reader at best and an attacker at worst; past this bound
@@ -481,11 +480,36 @@ impl EngineCore {
                 .map(|ctx| PolicyPlane { reader: ctx.table.reader(), ctx: Arc::clone(ctx) }),
             stop: Arc::clone(&self.stop),
             stats: Arc::clone(&self.stats),
-            cache: HashMap::new(),
-            cache_version: 0,
+            metrics: EngineMetrics::default(),
             scratch: vec![0u8; 4096].into_boxed_slice(),
             clock,
             out_queue_cap,
+        }
+    }
+}
+
+/// The metrics every request records, resolved once per registry.
+#[derive(Debug)]
+struct EngineMetrics {
+    requests: Handle,
+    queries: Handle,
+    hits_exact: Handle,
+    hits_fallback: Handle,
+    bytes_in: Handle,
+    bytes_out: Handle,
+    request_ns: Handle,
+}
+
+impl Default for EngineMetrics {
+    fn default() -> Self {
+        EngineMetrics {
+            requests: Handle::new("serve/requests"),
+            queries: Handle::new("serve/queries"),
+            hits_exact: Handle::new("serve/hits_exact"),
+            hits_fallback: Handle::new("serve/hits_fallback"),
+            bytes_in: Handle::new("serve/bytes_in"),
+            bytes_out: Handle::new("serve/bytes_out"),
+            request_ns: Handle::new("walltime/serve/request_ns"),
         }
     }
 }
@@ -500,10 +524,7 @@ pub struct Engine {
     policy: Option<PolicyPlane>,
     stop: Arc<StopSignal>,
     stats: Arc<GlobalStats>,
-    cache: HashMap<(u32, u16, u16), Message>,
-    /// Snapshot version the cache's entries were answered from; a swap
-    /// invalidates them wholesale (see `handle_request`).
-    cache_version: u64,
+    metrics: EngineMetrics,
     scratch: Box<[u8]>,
     clock: SharedClock,
     out_queue_cap: usize,
@@ -628,7 +649,7 @@ impl Engine {
                 }
                 Ok(n) => {
                     budget -= n;
-                    reg.scope("serve").add("bytes_in", n as u64);
+                    self.metrics.bytes_in.add(reg, n as u64);
                     filled += n;
                     conn.touched = true;
                     progress = true;
@@ -687,7 +708,7 @@ impl Engine {
                     let (reply, close) = self.handle_request(&msg, reg);
                     self.enqueue_reply(conn, &reply, reg);
                     let ns = u64::try_from(self.clock.since(t0).as_nanos()).unwrap_or(u64::MAX);
-                    reg.scope("walltime").scope("serve").observe("request_ns", ns);
+                    self.metrics.request_ns.observe(reg, ns);
                     if close {
                         conn.close_after_flush = true;
                     }
@@ -714,10 +735,10 @@ impl Engine {
     /// Encode a reply straight onto a connection's output queue,
     /// enforcing the output bound: a peer that has let the cap's worth of
     /// bytes pile up is cut off, and the frame is taken back off.
-    fn enqueue_reply<T>(&self, conn: &mut Conn<T>, reply: &Message, reg: &mut Registry) {
+    fn enqueue_reply<T>(&mut self, conn: &mut Conn<T>, reply: &Message, reg: &mut Registry) {
         let start = conn.out.len();
         proto::encode_into(reply, &mut conn.out);
-        reg.scope("serve").add("bytes_out", (conn.out.len() - start) as u64);
+        self.metrics.bytes_out.add(reg, (conn.out.len() - start) as u64);
         if conn.backlog() > self.out_queue_cap {
             conn.out.truncate(start);
             reg.scope("faults").scope("serve").incr("queue_overflow_closed");
@@ -728,19 +749,15 @@ impl Engine {
     /// Dispatch one decoded request. Returns the reply and whether the
     /// connection should close afterwards.
     fn handle_request(&mut self, msg: &Message, reg: &mut Registry) -> (Message, bool) {
-        let mut serve = reg.scope("serve");
-        serve.incr("requests");
+        self.metrics.requests.incr(reg);
         match *msg {
             Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-                serve.incr("queries");
+                self.metrics.queries.incr(reg);
                 if let Some(plane) = self.policy.as_mut() {
                     // Policy mode: answer from the last published
                     // estimator table. Coverage percentiles don't apply
                     // to an online estimate; they are accepted and
-                    // ignored so clients need no mode-specific query. No
-                    // reply cache either — the table turns over every
-                    // few reports, so a cache would mostly serve
-                    // invalidation.
+                    // ignored so clients need no mode-specific query.
                     let table = plane.reader.current();
                     let ans = table.lookup(addr);
                     let (status, prefix, prefix_len) = if ans.exact {
@@ -748,43 +765,17 @@ impl Engine {
                     } else {
                         (Status::Fallback, 0, 0)
                     };
-                    bump_hit(&self.stats, reg, status);
-                    return (
-                        Message::Answer {
-                            status,
-                            timeout_bits: ans.timeout_secs.to_bits(),
-                            prefix,
-                            prefix_len,
-                        },
-                        false,
-                    );
+                    let timeout_bits = ans.timeout_secs.to_bits();
+                    self.bump_hit(reg, status);
+                    return (Message::Answer { status, timeout_bits, prefix, prefix_len }, false);
                 }
                 // Resolve the oracle exactly once; the whole answer comes
                 // from this one immutable snapshot, so a swap mid-request
                 // can never produce a torn reply.
-                let oracle = Arc::clone(self.reader.current());
-                if self.reader.version() != self.cache_version {
-                    // Cached replies belong to the previous snapshot.
-                    self.cache.clear();
-                    self.cache_version = self.reader.version();
-                }
-                let key = (addr, addr_pct_tenths, ping_pct_tenths);
-                if let Some(&cached) = self.cache.get(&key) {
-                    reg.scope("sched").scope("serve").incr("cache_hits");
-                    // Deterministic per-request counters must not depend
-                    // on whether this shard's cache happened to hold the
-                    // reply.
-                    match cached {
-                        Message::Answer { status, .. } => bump_hit(&self.stats, reg, status),
-                        Message::Error { .. } => bump_refused(&self.stats, reg),
-                        _ => {}
-                    }
-                    return (cached, false);
-                }
-                reg.scope("sched").scope("serve").incr("cache_misses");
-                let reply = match oracle.lookup(addr, addr_pct_tenths, ping_pct_tenths) {
+                let found = self.reader.current().lookup(addr, addr_pct_tenths, ping_pct_tenths);
+                let reply = match found {
                     Ok(ans) => {
-                        bump_hit(&self.stats, reg, ans.status);
+                        self.bump_hit(reg, ans.status);
                         Message::Answer {
                             status: ans.status,
                             timeout_bits: ans.timeout_bits,
@@ -798,14 +789,10 @@ impl Engine {
                         Message::Error { code: ErrorCode::UnsupportedPercentile }
                     }
                 };
-                if self.cache.len() >= CACHE_CAP {
-                    self.cache.clear();
-                }
-                self.cache.insert(key, reply);
                 (reply, false)
             }
             Message::Stats => {
-                serve.incr("stats_requests");
+                reg.scope("serve").incr("stats_requests");
                 let hits_exact = self.stats.hits_exact.load(Ordering::Relaxed);
                 let hits_fallback = self.stats.hits_fallback.load(Ordering::Relaxed);
                 let refused = self.stats.refused.load(Ordering::Relaxed);
@@ -819,7 +806,7 @@ impl Engine {
                 )
             }
             Message::SnapshotInfo => {
-                serve.incr("info_requests");
+                reg.scope("serve").incr("info_requests");
                 // `current()` refreshes the cached pair under the slot
                 // lock, so the (version, oracle) this reply reports is
                 // consistent.
@@ -834,11 +821,11 @@ impl Engine {
                 )
             }
             Message::Reload { kind } => {
-                serve.incr("reload_requests");
+                reg.scope("serve").incr("reload_requests");
                 (admin_reload(kind, &self.reload, reg), false)
             }
             Message::Report { addr, rtt_us } => {
-                serve.incr("report_requests");
+                reg.scope("serve").incr("report_requests");
                 match self.policy.as_ref() {
                     Some(plane) => {
                         let reports = plane.ctx.absorb(addr, rtt_us, &self.stats);
@@ -851,7 +838,7 @@ impl Engine {
                 }
             }
             Message::Shutdown => {
-                serve.incr("shutdown_requests");
+                reg.scope("serve").incr("shutdown_requests");
                 // Raise the flag *and* ring every shard and the acceptor
                 // — they are blocked in their reactors, not polling a
                 // flag.
@@ -860,8 +847,21 @@ impl Engine {
             }
             // A reply opcode arriving as a request is a confused client.
             _ => {
-                serve.incr("errors_bad_request");
+                reg.scope("serve").incr("errors_bad_request");
                 (Message::Error { code: ErrorCode::UnknownOpcode }, false)
+            }
+        }
+    }
+
+    fn bump_hit(&mut self, reg: &mut Registry, status: Status) {
+        match status {
+            Status::Exact => {
+                self.stats.hits_exact.fetch_add(1, Ordering::Relaxed);
+                self.metrics.hits_exact.incr(reg);
+            }
+            Status::Fallback => {
+                self.stats.hits_fallback.fetch_add(1, Ordering::Relaxed);
+                self.metrics.hits_fallback.incr(reg);
             }
         }
     }
@@ -870,19 +870,6 @@ impl Engine {
 fn bump_refused(stats: &GlobalStats, reg: &mut Registry) {
     stats.refused.fetch_add(1, Ordering::Relaxed);
     reg.scope("serve").incr("errors_unsupported_pct");
-}
-
-fn bump_hit(stats: &GlobalStats, reg: &mut Registry, status: Status) {
-    match status {
-        Status::Exact => {
-            stats.hits_exact.fetch_add(1, Ordering::Relaxed);
-            reg.scope("serve").incr("hits_exact");
-        }
-        Status::Fallback => {
-            stats.hits_fallback.fetch_add(1, Ordering::Relaxed);
-            reg.scope("serve").incr("hits_fallback");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -942,8 +929,7 @@ mod tests {
         let mut reg = Registry::new();
         let query =
             |addr, addr_pct_tenths| Message::Query { addr, addr_pct_tenths, ping_pct_tenths: 500 };
-        // Exact, fallback, and an unsupported level twice (fresh, then
-        // from the reply cache).
+        // Exact, fallback, and an unsupported level twice.
         for msg in [query(0x0a000001, 500), query(0x0b000001, 500), query(1, 123), query(1, 123)] {
             peer.send(&proto::encode(&msg));
         }

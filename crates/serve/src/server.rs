@@ -4,12 +4,12 @@
 //! One acceptor thread distributes connections round-robin to `shards`
 //! worker threads. Each shard owns its connections outright — an
 //! [`EpollReactor`], a [`Shard`] holding the connections and their
-//! deadlines, a per-shard answer cache and a per-shard [`Registry`] — so
+//! deadlines, and a per-shard [`Registry`] — so
 //! the hot path takes no locks and shares no mutable state beyond three
 //! global stats counters. Shard registries are merged **in fixed shard
 //! order** when the server stops, so the deterministic metric families
 //! are byte-identical no matter how connections were scheduled (the
-//! scheduling-dependent counters — cache hits, idle closures, wakeup
+//! scheduling-dependent counters — idle closures, wakeup
 //! counts, per-shard assignment — live under the `sched/` family, which
 //! the JSON export excludes; see DESIGN.md §8).
 //!

@@ -18,7 +18,9 @@
 //!   the joined `&str` up in place and allocates the key only the first
 //!   time a name is recorded. So `reg.scope("serve").incr("queries")` on
 //!   a per-request path costs a short copy and one ordered-map lookup,
-//!   and lands in the registry synchronously. A registry built with
+//!   and lands in the registry synchronously. A [`Handle`] goes further:
+//!   it resolves its name once per registry and then records by arena
+//!   index, with no lookup at all. A registry built with
 //!   [`Registry::disabled`] turns every recording call into a branch on
 //!   one bool.
 //! * **Hierarchical names.** Metric names are `/`-joined paths
@@ -34,6 +36,7 @@
 mod json;
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Family prefix for wall-clock measurements. Metrics under this prefix
 /// are nondeterministic by nature and are excluded from
@@ -198,27 +201,109 @@ impl Metric {
     }
 }
 
+/// One recording call: the metric kind it requires and its value.
+#[derive(Debug, Clone, Copy)]
+enum Record {
+    Add(u64),
+    Max(u64),
+    Observe(u64),
+}
+
+impl Record {
+    fn kind_name(self) -> &'static str {
+        match self {
+            Record::Add(_) => "counter",
+            Record::Max(_) => "gauge",
+            Record::Observe(_) => "histogram",
+        }
+    }
+
+    /// The metric a first recording creates.
+    fn fresh(self) -> Metric {
+        match self {
+            Record::Add(v) => Metric::Counter(v),
+            Record::Max(v) => Metric::Gauge(v),
+            Record::Observe(v) => {
+                let mut h = Histogram::default();
+                h.observe(v);
+                Metric::Histogram(h)
+            }
+        }
+    }
+
+    /// Record into an existing metric, which must be of this kind.
+    fn apply(self, metric: &mut Metric, name: &str) {
+        match (self, metric) {
+            (Record::Add(delta), Metric::Counter(v)) => *v += delta,
+            (Record::Max(value), Metric::Gauge(v)) => *v = (*v).max(value),
+            (Record::Observe(value), Metric::Histogram(h)) => h.observe(value),
+            (record, m) => {
+                panic!("telemetry: `{name}` is a {}, not a {}", m.kind_name(), record.kind_name())
+            }
+        }
+    }
+}
+
 /// The metric store. Create one per independent unit of work (a task in
-/// a parallel fan-out), record through [`Scope`]s, then [`merge`] the
-/// per-task registries **in task order** into one.
+/// a parallel fan-out), record through [`Scope`]s or [`Handle`]s, then
+/// [`merge`] the per-task registries **in task order** into one.
+///
+/// Metrics live in an append-only arena indexed by a name map, so a
+/// metric keeps its arena index for the registry's whole life. Every
+/// registry — a clone included — carries its own identity, which is what
+/// lets a [`Handle`] cache an index safely.
 ///
 /// [`merge`]: Registry::merge
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct Registry {
+    id: u64,
     enabled: bool,
-    metrics: BTreeMap<String, Metric>,
+    /// Name → index into `metrics`, in name order.
+    names: BTreeMap<String, usize>,
+    /// Append-only: an index, once handed out, names the same metric for
+    /// the registry's life.
+    metrics: Vec<Metric>,
+}
+
+/// A fresh registry identity: process-unique, never reused.
+fn next_registry_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::with_enabled(false)
+    }
+}
+
+impl Clone for Registry {
+    /// A copy of every metric under a new identity: a [`Handle`] that
+    /// cached an index into `self` resolves afresh against the clone.
+    fn clone(&self) -> Self {
+        Registry {
+            id: next_registry_id(),
+            enabled: self.enabled,
+            names: self.names.clone(),
+            metrics: self.metrics.clone(),
+        }
+    }
 }
 
 impl Registry {
     /// An enabled, empty registry.
     pub fn new() -> Self {
-        Registry { enabled: true, metrics: BTreeMap::new() }
+        Registry::with_enabled(true)
     }
 
     /// A disabled registry: every recording call is a no-op costing one
     /// branch; merge/export see an empty registry.
     pub fn disabled() -> Self {
-        Registry { enabled: false, metrics: BTreeMap::new() }
+        Registry::with_enabled(false)
+    }
+
+    fn with_enabled(enabled: bool) -> Self {
+        Registry { id: next_registry_id(), enabled, names: BTreeMap::new(), metrics: Vec::new() }
     }
 
     /// Whether recording is live.
@@ -243,13 +328,13 @@ impl Registry {
 
     /// Look up a metric by full name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
+        self.names.get(name).map(|&i| &self.metrics[i])
     }
 
     /// Counter value by full name (0 when absent; `None` when the name
     /// holds a different kind).
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             None => Some(0),
             Some(Metric::Counter(v)) => Some(*v),
             Some(_) => None,
@@ -258,41 +343,31 @@ impl Registry {
 
     /// Iterate `(name, metric)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.names.iter().map(|(k, &i)| (k.as_str(), &self.metrics[i]))
     }
 
-    // Each recorder looks `name` up in place and copies it to the heap
-    // only when the metric is new.
-
-    fn add(&mut self, name: &str, delta: u64) {
-        match self.metrics.get_mut(name) {
-            Some(Metric::Counter(v)) => *v += delta,
-            Some(m) => panic!("telemetry: `{name}` is a {}, not a counter", m.kind_name()),
-            None => {
-                self.metrics.insert(name.to_owned(), Metric::Counter(delta));
-            }
+    /// Store `metric` under `name`, replacing what was there; returns
+    /// its index. The key is copied to the heap only when it is new.
+    fn put(&mut self, name: &str, metric: Metric) -> usize {
+        if let Some(&i) = self.names.get(name) {
+            self.metrics[i] = metric;
+            return i;
         }
+        let i = self.metrics.len();
+        self.metrics.push(metric);
+        self.names.insert(name.to_owned(), i);
+        i
     }
 
-    fn gauge_max(&mut self, name: &str, value: u64) {
-        match self.metrics.get_mut(name) {
-            Some(Metric::Gauge(v)) => *v = (*v).max(value),
-            Some(m) => panic!("telemetry: `{name}` is a {}, not a gauge", m.kind_name()),
-            None => {
-                self.metrics.insert(name.to_owned(), Metric::Gauge(value));
+    /// Apply `record` to the metric `name`, creating it on first use
+    /// (the key is copied to the heap only then); returns its index.
+    fn record(&mut self, name: &str, record: Record) -> usize {
+        match self.names.get(name) {
+            Some(&i) => {
+                record.apply(&mut self.metrics[i], name);
+                i
             }
-        }
-    }
-
-    fn observe(&mut self, name: &str, value: u64) {
-        match self.metrics.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.observe(value),
-            Some(m) => panic!("telemetry: `{name}` is a {}, not a histogram", m.kind_name()),
-            None => {
-                let mut h = Histogram::default();
-                h.observe(value);
-                self.metrics.insert(name.to_owned(), Metric::Histogram(h));
-            }
+            None => self.put(name, record.fresh()),
         }
     }
 
@@ -304,11 +379,11 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        for (name, metric) in &other.metrics {
-            match self.metrics.get_mut(name) {
-                Some(m) => m.merge(metric, name),
+        for (name, metric) in other.iter() {
+            match self.names.get(name) {
+                Some(&i) => self.metrics[i].merge(metric, name),
                 None => {
-                    self.metrics.insert(name.clone(), metric.clone());
+                    self.put(name, metric.clone());
                 }
             }
         }
@@ -332,9 +407,9 @@ impl Registry {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("telemetry report ({} metrics)\n", self.metrics.len()));
-        let width = self.metrics.keys().map(|k| k.len()).max().unwrap_or(0).min(48);
+        let width = self.names.keys().map(|k| k.len()).max().unwrap_or(0).min(48);
         let mut family = "";
-        for (name, metric) in &self.metrics {
+        for (name, metric) in self.iter() {
             let fam = name.split('/').next().unwrap_or("");
             if fam != family {
                 family = fam;
@@ -440,12 +515,15 @@ impl Scope<'_> {
         }
     }
 
+    fn record(&mut self, name: &str, record: Record) {
+        if self.reg.enabled {
+            self.reg.record(self.full(name).as_str(), record);
+        }
+    }
+
     /// Add `delta` to the counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        if !self.reg.enabled {
-            return;
-        }
-        self.reg.add(self.full(name).as_str(), delta);
+        self.record(name, Record::Add(delta));
     }
 
     /// Increment the counter `name` by one.
@@ -455,18 +533,66 @@ impl Scope<'_> {
 
     /// Raise the max-gauge `name` to at least `value`.
     pub fn gauge_max(&mut self, name: &str, value: u64) {
-        if !self.reg.enabled {
-            return;
-        }
-        self.reg.gauge_max(self.full(name).as_str(), value);
+        self.record(name, Record::Max(value));
     }
 
     /// Record `value` into the histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.reg.enabled {
+        self.record(name, Record::Observe(value));
+    }
+}
+
+/// A metric name resolved once and cached per registry: the per-request
+/// form of a [`Scope`] call. The first record into a registry looks the
+/// name up like a [`Scope`] would (creating the metric then, never
+/// earlier); each later record into the same registry indexes the arena
+/// directly. Recording into a different registry, or a clone, resolves
+/// afresh there, so a handle can never write into the wrong metric.
+///
+/// The metric kind is fixed by the method used, exactly as with a
+/// [`Scope`]: recording a different kind under a name panics.
+#[derive(Debug, Clone)]
+pub struct Handle {
+    name: &'static str,
+    /// `(registry id, arena index)` of the last resolution.
+    at: Option<(u64, usize)>,
+}
+
+impl Handle {
+    /// A handle for the full metric `name` (e.g. `"serve/queries"`).
+    /// Nothing is created until the first record.
+    pub const fn new(name: &'static str) -> Handle {
+        Handle { name, at: None }
+    }
+
+    fn record(&mut self, reg: &mut Registry, record: Record) {
+        if !reg.enabled {
             return;
         }
-        self.reg.observe(self.full(name).as_str(), value);
+        match self.at {
+            Some((id, i)) if id == reg.id => record.apply(&mut reg.metrics[i], self.name),
+            _ => self.at = Some((reg.id, reg.record(self.name, record))),
+        }
+    }
+
+    /// Add `delta` to the counter.
+    pub fn add(&mut self, reg: &mut Registry, delta: u64) {
+        self.record(reg, Record::Add(delta));
+    }
+
+    /// Increment the counter by one.
+    pub fn incr(&mut self, reg: &mut Registry) {
+        self.add(reg, 1);
+    }
+
+    /// Raise the max-gauge to at least `value`.
+    pub fn gauge_max(&mut self, reg: &mut Registry, value: u64) {
+        self.record(reg, Record::Max(value));
+    }
+
+    /// Record `value` into the histogram.
+    pub fn observe(&mut self, reg: &mut Registry, value: u64) {
+        self.record(reg, Record::Observe(value));
     }
 }
 

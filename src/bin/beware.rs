@@ -205,9 +205,9 @@ commands:
   simserve   [--clients N] [--queries N] [--cell-bits B] [--seed S]
              [--regime steady|covid_step|diurnal_drift] [--partition]
              [--interval-us U] [--threads N] [--policy NAME]
-             [--out summary.json] [--bench BENCH_8.json]
+             [--out summary.json] [--bench BENCH_8.json] [--metrics simserve-metrics.json]
              (oracle server + N closed-loop clients inside the netsim;
-             summary is byte-identical across --threads and repeat runs)
+             summary and metrics are byte-identical across --threads and repeat runs)
   chaos      [--snapshot snap.bwts | --survey survey.bwss] [--seed S]
              [--profile chaos|split|off] [--workers N] [--requests N]
              [--shards N] [--metrics chaos-metrics.json]
@@ -1391,6 +1391,11 @@ fn cmd_simserve(flags: &Flags) -> Result<(), CliError> {
         std::fs::write(out, report.summary_json())
             .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
         println!("summary -> {out}");
+    }
+    if let Some(path) = flags.str("metrics") {
+        std::fs::write(path, report.registry.to_json())
+            .map_err(|e| CliError::Io(format!("writing {path}: {e}")))?;
+        println!("metrics -> {path}");
     }
     let bench = flags.str("bench").unwrap_or("BENCH_8.json");
     std::fs::write(bench, report.bench_json())

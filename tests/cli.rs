@@ -520,6 +520,42 @@ fn shootout_cli_is_thread_count_invariant() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `simserve --metrics` exports the merged engine telemetry: the same
+/// bytes at every thread count, with the per-request counters agreeing
+/// with the summary's served-query counts.
+#[test]
+fn simserve_metrics_export_is_thread_count_invariant() {
+    let dir = tempdir("simserve-metrics");
+    let run = |threads: &str, summary: &str, metrics: &str| {
+        let o = beware(
+            &["simserve", "--clients", "4096", "--cell-bits", "10", "--partition"]
+                .into_iter()
+                .chain(["--threads", threads, "--out", summary, "--metrics", metrics])
+                .chain(["--bench", "bench.json"])
+                .collect::<Vec<_>>(),
+            &dir,
+        );
+        assert!(o.status.success(), "simserve failed: {}", String::from_utf8_lossy(&o.stderr));
+    };
+    run("1", "s1.json", "m1.json");
+    run("2", "s2.json", "m2.json");
+    let m1 = std::fs::read_to_string(dir.join("m1.json")).unwrap();
+    let m2 = std::fs::read_to_string(dir.join("m2.json")).unwrap();
+    assert_eq!(m1, m2, "simserve telemetry differs between thread counts");
+    let reg = beware::telemetry::Registry::from_json(&m1).expect("metrics parse");
+    let queries = reg.counter("serve/queries").unwrap();
+    assert!(queries > 0, "{m1}");
+    assert_eq!(reg.counter("serve/requests"), Some(queries), "snapshot mode serves only queries");
+    assert_eq!(
+        reg.counter("serve/hits_exact").unwrap() + reg.counter("serve/hits_fallback").unwrap(),
+        queries
+    );
+    assert!(!m1.contains("walltime/") && !m1.contains("sched/"), "{m1}");
+    let summary = std::fs::read_to_string(dir.join("s1.json")).unwrap();
+    assert!(summary.contains(&format!("\"served_queries\": {queries}")), "{summary}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `fullspace` rejects numeric flags that would otherwise run a different
 /// campaign without saying so: a NaN or non-positive quiescence window
 /// (every host evicted on every insert), a degrade scale that is not a

@@ -4,7 +4,10 @@
 //! scheduler and telemetry hot paths were flattened. Those paths must stay
 //! invisible in every deterministic artifact: the in-sim serving summary
 //! (16384 clients in 2^12-client cells, with and without mid-campaign
-//! partitions, at 1 and 2 threads) and the campaign's `--metrics` export.
+//! partitions, at 1 and 2 threads), the partitioned run's `--metrics`
+//! export (the engine's per-request counters: requests, queries, exact
+//! and fallback hits, bytes in and out) and the campaign's `--metrics`
+//! export.
 //! `fullspace_20b_events.json` was written before the probe path was
 //! flattened: a 2^20-address sweep whose access links are degraded and
 //! partitioned mid-sweep, so the link layer, the block cache and host
@@ -13,6 +16,8 @@
 //!
 //! ```text
 //! beware simserve --clients 16384 --cell-bits 12 [--partition] --out <file>
+//! beware simserve --clients 16384 --cell-bits 12 --partition \
+//!     --metrics tests/golden/simserve_16k_cb12_partition_metrics.json
 //! beware campaign --blocks 48 --survey-blocks 12 --rounds 12 --scans 4 \
 //!     --out <dir> --metrics tests/golden/campaign_metrics.json
 //! ```
@@ -23,10 +28,14 @@
 use beware::bench::{fullspace, simserve, FullSpaceCfg, SimServeCfg};
 use beware::netsim::{LinkEvent, LinkEventKind, LinkId};
 
-fn simserve_summary(partition: bool, threads: usize) -> String {
+fn simserve_report(partition: bool, threads: usize) -> simserve::SimServeReport {
     let cfg =
         SimServeCfg { clients: 16_384, cell_bits: 12, partition, threads, ..Default::default() };
-    simserve::run(&cfg).expect("valid simserve configuration").summary_json()
+    simserve::run(&cfg).expect("valid simserve configuration")
+}
+
+fn simserve_summary(partition: bool, threads: usize) -> String {
+    simserve_report(partition, threads).summary_json()
 }
 
 #[test]
@@ -42,6 +51,14 @@ fn partitioned_simserve_summary_matches_golden_at_every_thread_count() {
     let golden = include_str!("golden/simserve_16k_cb12_partition.json");
     for threads in [1, 2] {
         assert_eq!(simserve_summary(true, threads), golden, "threads {threads}");
+    }
+}
+
+#[test]
+fn partitioned_simserve_metrics_export_matches_golden_at_every_thread_count() {
+    let golden = include_str!("golden/simserve_16k_cb12_partition_metrics.json");
+    for threads in [1, 2] {
+        assert_eq!(simserve_report(true, threads).registry.to_json(), golden, "threads {threads}");
     }
 }
 
